@@ -21,6 +21,7 @@ from .model import (
     MaskedBatch,
     ModelParams,
     NumericalError,
+    PackedBatch,
     ParamLayout,
     PRIMARY_BLOCKS,
     grad_primary,
@@ -172,10 +173,12 @@ class StepReport:
 
 def _adapt_batch(psi: ModelParams, batch, masked, inner_lr: float, steps: int,
                  aux_weight: float):
-    """Plain gradient descent on the total loss from psi; the masked batch is
-    fixed across steps. Returns (flat adapted params, first gradient, trace)."""
+    """Plain gradient descent on the total loss from psi; the batch is packed
+    once and, like the masked batch, fixed across steps. Returns (flat adapted
+    params, first gradient, trace)."""
     layout = psi.layout()
     flat = psi.to_flat()
+    batch = PackedBatch.pack(batch)
     first = None
     trace = []
     for s in range(1, steps + 1):
@@ -278,8 +281,9 @@ def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
                         mask_strategy=cfg.mask_strategy,
                         support_direction=cfg.support_direction)
     if episode.query:
-        query_loss, _ = primary_loss(adapt.theta_hat, episode.query)
-        g_qry = grad_primary(adapt.theta_hat, episode.query)
+        query = PackedBatch.pack(episode.query)
+        query_loss, _ = primary_loss(adapt.theta_hat, query)
+        g_qry = grad_primary(adapt.theta_hat, query)
         cos, gate_open = gate(adapt.g_sup, g_qry, cfg.gate_threshold)
     else:
         query_loss, g_qry, cos, gate_open = None, None, None, False
@@ -341,25 +345,32 @@ def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
 def fomaml_step(state: MetaState, episode_batch, rng: np.random.Generator
                 ) -> tuple[MetaState, StepReport]:
     """First-order MAML: adapt on the classification loss only, then apply the
-    query gradient at the adapted parameters as the meta-gradient."""
+    query gradient at the adapted parameters as the meta-gradient. An episode
+    without a query set contributes nothing."""
     if not episode_batch:
         raise ValueError("episode batch is empty")
     cfg = state.cfg
     layout = state.psi.layout()
     meta_grad = np.zeros(layout.size, dtype=state.psi.E.dtype)
-    sup_losses, qry_losses, qry_norms = [], [], []
+    used, sup_losses, qry_losses, qry_norms = [], [], [], []
     for ep in episode_batch:
         adapt = inner_adapt(state.psi, ep, cfg.inner_lr, cfg.inner_steps, 0.0, rng)
-        q_loss, _ = primary_loss(adapt.theta_hat, ep.query)
-        g_qry = grad_primary(adapt.theta_hat, ep.query)
-        meta_grad += g_qry.values
         sup_losses.append(adapt.loss_trace[-1])
+        used.append(bool(ep.query))
+        if not ep.query:
+            qry_losses.append(None)
+            qry_norms.append(None)
+            continue
+        query = PackedBatch.pack(ep.query)
+        q_loss, _ = primary_loss(adapt.theta_hat, query)
+        g_qry = grad_primary(adapt.theta_hat, query)
+        meta_grad += g_qry.values
         qry_losses.append(q_loss)
         qry_norms.append(g_qry.norm(PRIMARY_BLOCKS))
     new_state = _apply_update(state, meta_grad)
     n = len(episode_batch)
     report = StepReport(step=new_state.step_count, cos_values=[None] * n,
-                        gates=[None] * n, query_used=[True] * n,
+                        gates=[None] * n, query_used=used,
                         support_losses=sup_losses, query_losses=qry_losses,
                         g_sup_norms=[None] * n, g_qry_norms=qry_norms,
                         aux_targets=[0] * n,

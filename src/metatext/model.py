@@ -1,4 +1,4 @@
-"""Two-headed text encoder: classification head plus masked-token prediction head.
+r"""Two-headed text encoder: classification head plus masked-token prediction head.
 
 The encoder is deliberately small: token embeddings, a mean-pooled context
 vector, and a single tanh layer producing per-token hidden states. Both heads
@@ -18,8 +18,9 @@ Parameter blocks, in fixed flat order:
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +51,17 @@ class ParamLayout:
 
     blocks: tuple[tuple[str, int, int, tuple[int, ...]], ...]
     size: int
+    slices: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slices", {name: slice(offset, offset + length)
+                                            for name, offset, length, _ in self.blocks})
 
     @classmethod
+    @functools.cache
     def build(cls, vocab_size: int, d_emb: int, d_h: int, n_way: int) -> "ParamLayout":
+        """The layout for these shapes; memoised, so equal shapes share one
+        instance."""
         shapes = {
             "E": (vocab_size, d_emb),
             "W1": (d_h, 2 * d_emb),
@@ -72,10 +81,10 @@ class ParamLayout:
         return cls(blocks=tuple(blocks), size=offset)
 
     def block_slice(self, name: str) -> slice:
-        for bname, offset, length, _ in self.blocks:
-            if bname == name:
-                return slice(offset, offset + length)
-        raise KeyError(f"unknown parameter block {name!r}")
+        try:
+            return self.slices[name]
+        except KeyError:
+            raise KeyError(f"unknown parameter block {name!r}") from None
 
     def block_shape(self, name: str) -> tuple[int, ...]:
         for bname, _, _, shape in self.blocks:
@@ -187,12 +196,12 @@ class ModelParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParams":
+        """Blocks as reshaped views into flat, not copies: the caller hands
+        over a vector that nothing writes afterwards."""
         if flat.shape != (layout.size,):
             raise ValueError(f"flat vector has length {flat.shape}, layout expects {layout.size}")
-        kwargs = {}
-        for name, offset, length, shape in layout.blocks:
-            kwargs[name] = flat[offset : offset + length].reshape(shape).copy()
-        return cls(**kwargs)
+        return cls(**{name: flat[offset : offset + length].reshape(shape)
+                      for name, offset, length, shape in layout.blocks})
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in BLOCK_NAMES})
@@ -226,7 +235,8 @@ class MaskedBatch:
 
     targets holds (sequence index, position, original token id) triples; under
     the default all-mask replacement strategy every target position carries
-    MASK_ID in the masked sequence.
+    MASK_ID in the masked sequence. The padded arrays are derived once per
+    instance, so treat an instance as immutable.
     """
 
     sequences: list
@@ -236,6 +246,18 @@ class MaskedBatch:
     @property
     def num_targets(self) -> int:
         return len(self.targets)
+
+    @functools.cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The masked sequences padded into (B, L) tokens plus their non-PAD
+        mask, derived on first use."""
+        return _pack(self.sequences)
+
+    @functools.cached_property
+    def target_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Targets as (sequence index, position, original id) int arrays."""
+        arr = np.asarray(self.targets, dtype=np.int64).reshape(-1, 3)
+        return arr[:, 0], arr[:, 1], arr[:, 2]
 
     @classmethod
     def build(cls, sequences, rng: np.random.Generator, mask_prob: float = 0.30,
@@ -345,6 +367,25 @@ def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
     return tokens, tokens != PAD_ID
 
 
+@dataclass(eq=False)
+class PackedBatch:
+    """(sequence, label) pairs padded once; the losses and gradients accept it
+    in place of the pairs, so a batch used for many steps is packed once."""
+
+    tokens: np.ndarray   # (B, L) int
+    mask: np.ndarray     # (B, L) bool, False at PAD
+    labels: np.ndarray   # (B,) int
+
+    @classmethod
+    def pack(cls, batch) -> "PackedBatch":
+        """Pack (sequence, label) pairs; a packed batch is returned as it is."""
+        if isinstance(batch, cls):
+            return batch
+        seqs = [pair[0] for pair in batch]
+        labels = np.asarray([pair[1] for pair in batch], dtype=np.int64)
+        return cls(*_pack(seqs), labels)
+
+
 def _forward(params: ModelParams, tokens: np.ndarray, mask: np.ndarray) -> _Forward:
     counts = mask.sum(axis=1).astype(params.E.dtype)
     if np.any(counts == 0):
@@ -379,10 +420,13 @@ def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
 # losses
 
 
-def _split_batch(batch) -> tuple[list, np.ndarray]:
-    seqs = [pair[0] for pair in batch]
-    labels = np.asarray([pair[1] for pair in batch], dtype=np.int64)
-    return seqs, labels
+def _labelled(params: ModelParams, batch) -> PackedBatch:
+    """Pack (sequence, label) pairs, or take a packed batch, and check that its
+    labels fit the classifier."""
+    packed = PackedBatch.pack(batch)
+    if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
+        raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
+    return packed
 
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -400,17 +444,15 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def primary_loss(params: ModelParams, batch) -> tuple[float, np.ndarray]:
-    """Mean classification cross-entropy over (sequence, label) pairs.
+    """Mean classification cross-entropy over (sequence, label) pairs or a
+    PackedBatch.
 
     Returns (loss, logits) with logits of shape (batch, n_way).
     """
-    seqs, labels = _split_batch(batch)
-    if np.any((labels < 0) | (labels >= params.n_way)):
-        raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
-    tokens, mask = _pack(seqs)
-    fw = _forward(params, tokens, mask)
+    packed = _labelled(params, batch)
+    fw = _forward(params, packed.tokens, packed.mask)
     logits = fw.rep @ params.C.T + params.c0
-    loss, _ = _softmax_xent(logits, labels)
+    loss, _ = _softmax_xent(logits, packed.labels)
     return loss, logits
 
 
@@ -418,9 +460,8 @@ def aux_loss(params: ModelParams, masked: MaskedBatch) -> float:
     """Mean vocabulary cross-entropy over every masked-token target."""
     if masked.num_targets == 0:
         raise ValueError("masked batch has no targets; caller must filter")
-    tokens, mask = _pack(masked.sequences)
-    fw = _forward(params, tokens, mask)
-    si, pos, orig = _target_arrays(masked)
+    fw = _forward(params, *masked.packed)
+    si, pos, orig = masked.target_arrays
     h_tgt = fw.hidden[si, pos]                      # (T, Dh)
     logits = h_tgt @ params.P.T + params.p0          # (T, V)
     loss, _ = _softmax_xent(logits, orig)
@@ -429,7 +470,8 @@ def aux_loss(params: ModelParams, masked: MaskedBatch) -> float:
 
 def total_loss(params: ModelParams, support_batch, masked_support,
                aux_weight: float) -> float:
-    """Convex combination (1 - w) * primary + w * auxiliary.
+    """Convex combination (1 - w) * primary + w * auxiliary; support_batch is
+    (sequence, label) pairs or a PackedBatch.
 
     The auxiliary term is dropped (weight ignored) when masked_support is None
     or holds no targets, so degenerate episodes fall back to pure
@@ -445,11 +487,6 @@ def total_loss(params: ModelParams, support_batch, masked_support,
     if aux_active:
         loss += aux_weight * aux_loss(params, masked_support)
     return loss
-
-
-def _target_arrays(masked: MaskedBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.asarray(masked.targets, dtype=np.int64).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +523,10 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
 
 def _grad_primary_raw(params: ModelParams, batch):
     """Gradient of the classification loss; aux-head blocks stay exactly zero."""
-    seqs, labels = _split_batch(batch)
-    if np.any((labels < 0) | (labels >= params.n_way)):
-        raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
-    tokens, mask = _pack(seqs)
-    fw = _forward(params, tokens, mask)
+    packed = _labelled(params, batch)
+    fw = _forward(params, packed.tokens, packed.mask)
     logits = fw.rep @ params.C.T + params.c0
-    loss, d_logits = _softmax_xent(logits, labels)
+    loss, d_logits = _softmax_xent(logits, packed.labels)
 
     dC = d_logits.T @ fw.rep
     dc0 = d_logits.sum(axis=0)
@@ -505,9 +539,8 @@ def _grad_primary_raw(params: ModelParams, batch):
 
 def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
     """Gradient of the masked-token loss; classifier blocks stay exactly zero."""
-    tokens, mask = _pack(masked.sequences)
-    fw = _forward(params, tokens, mask)
-    si, pos, orig = _target_arrays(masked)
+    fw = _forward(params, *masked.packed)
+    si, pos, orig = masked.target_arrays
     h_tgt = fw.hidden[si, pos]
     logits = h_tgt @ params.P.T + params.p0
     loss, d_logits = _softmax_xent(logits, orig)
@@ -521,11 +554,12 @@ def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
     return loss, dE, dW1, db1, dP, dp0
 
 
-def _assemble(layout: ParamLayout, dtype, **blocks) -> FlatGradient:
-    grad = FlatGradient.zeros(layout, dtype=dtype)
-    for name, arr in blocks.items():
-        grad.values[layout.block_slice(name)] = arr.ravel()
-    return grad
+def _add_blocks(grad: FlatGradient, weight: float, names, arrays) -> None:
+    """Add weight * each block into the gradient's slice for it."""
+    slices = grad.layout.slices
+    for name, arr in zip(names, arrays):
+        view = grad.values[slices[name]]
+        view += weight * arr.ravel()
 
 
 def _check_finite(grad: FlatGradient, op: str) -> FlatGradient:
@@ -542,8 +576,12 @@ def grad_primary(params: ModelParams, batch) -> FlatGradient:
     Predictor-head blocks of the result are exactly zero: the classification
     path never touches them.
     """
-    _, dE, dW1, db1, dC, dc0 = _grad_primary_raw(params, batch)
-    grad = _assemble(params.layout(), params.E.dtype, E=dE, W1=dW1, b1=db1, C=dC, c0=dc0)
+    _, *blocks = _grad_primary_raw(params, batch)
+    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
+    slices = grad.layout.slices
+    # Assigned, not added: the result keeps each block's bits, -0.0 included.
+    for name, arr in zip(PRIMARY_BLOCKS, blocks):
+        grad.values[slices[name]] = arr.ravel()
     return _check_finite(grad, "grad_primary")
 
 
@@ -552,25 +590,17 @@ def grad_total(params: ModelParams, support_batch, masked_support,
     """Exact gradient of total_loss over all parameter blocks."""
     if not 0.0 <= aux_weight <= 1.0:
         raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
-    layout = params.layout()
-    grad = FlatGradient.zeros(layout, dtype=params.E.dtype)
+    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
     aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
 
+    # Blocks are added into the zero vector, not assigned: 0.0 + x turns a
+    # -0.0 entry into +0.0, and the outputs depend on those bits.
     if aux_weight < 1.0 or not aux_active:
-        _, dE, dW1, db1, dC, dc0 = _grad_primary_raw(params, support_batch)
-        w = 1.0 - aux_weight
-        grad.values[layout.block_slice("E")] += w * dE.ravel()
-        grad.values[layout.block_slice("W1")] += w * dW1.ravel()
-        grad.values[layout.block_slice("b1")] += w * db1.ravel()
-        grad.values[layout.block_slice("C")] += w * dC.ravel()
-        grad.values[layout.block_slice("c0")] += w * dc0.ravel()
+        _, *blocks = _grad_primary_raw(params, support_batch)
+        _add_blocks(grad, 1.0 - aux_weight, PRIMARY_BLOCKS, blocks)
     if aux_active:
-        _, dE, dW1, db1, dP, dp0 = _grad_aux_raw(params, masked_support)
-        grad.values[layout.block_slice("E")] += aux_weight * dE.ravel()
-        grad.values[layout.block_slice("W1")] += aux_weight * dW1.ravel()
-        grad.values[layout.block_slice("b1")] += aux_weight * db1.ravel()
-        grad.values[layout.block_slice("P")] += aux_weight * dP.ravel()
-        grad.values[layout.block_slice("p0")] += aux_weight * dp0.ravel()
+        _, *blocks = _grad_aux_raw(params, masked_support)
+        _add_blocks(grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS, blocks)
     return _check_finite(grad, "grad_total")
 
 

@@ -328,6 +328,26 @@ def test_fomaml_equals_reduced_amgs(setup):
     assert np.abs(s_amgs.psi.to_flat() - s_fom.psi.to_flat()).max() < 1e-12
 
 
+def test_fomaml_skips_queryless_episodes_like_meta_step(setup):
+    # The FOMAML preset of meta_step, on Adam: a query-less episode adds
+    # nothing to the meta-gradient and reports no query loss or norm.
+    _, psi, ep, rng = setup
+    bare = Episode(support=random_episode(rng).support, query=[], label_map=ep.label_map)
+    batch = [bare, ep, bare]
+    preset = MetaConfig(inner_lr=0.1, meta_lr=0.05, inner_steps=2, aux_weight=0.0,
+                        include_support=False, query_mode="always")
+    s_ref, r_ref = meta_step(MetaState.create(psi, preset), batch, np.random.default_rng(4))
+    s_fom, r_fom = fomaml_step(MetaState.create(psi, preset), batch, np.random.default_rng(4))
+    for a, b in ((s_ref.psi.to_flat(), s_fom.psi.to_flat()), (s_ref.m, s_fom.m),
+                 (s_ref.v, s_fom.v)):
+        assert a.tobytes() == b.tobytes()
+    assert r_fom.query_used == r_ref.query_used == [False, True, False]
+    assert r_fom.query_losses == r_ref.query_losses
+    assert r_fom.support_losses == r_ref.support_losses
+    assert r_fom.g_qry_norms == r_ref.g_qry_norms
+    assert r_fom.meta_grad_norm == r_ref.meta_grad_norm
+
+
 def _two_way_zero_setup():
     # With n_way=2 and balanced labels, the zero-parameter gradient is exactly
     # zero: the softmax residuals are representable halves that cancel.
