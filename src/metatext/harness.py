@@ -20,7 +20,14 @@ from .episodes import ClassSplit, Corpus, Episode, load_corpus, load_split_file,
 from .meta import MetaConfig, MetaState, fine_tune, fomaml_step, meta_step, meta_test, reptile_step
 from .model import MaskedBatch, ModelConfig, ModelParams, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
 
-METHODS = ("amgs", "fomaml", "reptile", "amgs_que", "amgs_sup", "amgs_que_sup")
+# Each method's MetaConfig: the experiment's values with these fields
+# replaced. fomaml_step and reptile_step apply FOMAML_PRESET and
+# REPTILE_PRESET themselves, so a baseline's config is checked as amgs's is.
+METHOD_PRESETS = {"amgs": {}, "fomaml": {}, "reptile": {},
+                  "amgs_que": dict(include_support=False, query_mode="always"),
+                  "amgs_sup": dict(query_mode="never"),
+                  "amgs_que_sup": dict(query_mode="always")}
+METHODS = tuple(METHOD_PRESETS)
 AMGS_FAMILY = ("amgs", "amgs_que", "amgs_sup", "amgs_que_sup")
 
 # Stream tags for per-seed random generators.
@@ -85,35 +92,28 @@ class ExperimentConfig:
     split_path: str = ""
 
     def validate(self) -> None:
+        """Check the harness's own fields, then the meta-learner's config, whose
+        errors are re-raised as ConfigError."""
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for name in ("n_way", "k_shot", "query_per_class", "inner_steps",
+        for name in ("n_way", "k_shot", "query_per_class", "patience",
                      "episodes_per_epoch_train", "episodes_per_epoch_val",
                      "test_episodes", "max_epochs", "meta_batch_size",
                      "d_emb", "d_h", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if self.inner_lr <= 0 or self.meta_lr <= 0:
-            raise ConfigError("inner_lr and meta_lr must be positive")
-        if not 0.0 <= self.aux_weight <= 1.0:
-            raise ConfigError("aux_weight must be in [0, 1]")
-        if not 0.0 < self.mask_prob <= 1.0:
-            raise ConfigError("mask_prob must be in (0, 1]")
+        if self.inner_lr <= 0:
+            raise ConfigError("inner_lr must be positive")
         if self.min_freq < 0:
             raise ConfigError("min_freq must be non-negative")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if self.fine_tune_steps is not None and self.fine_tune_steps < 0:
             raise ConfigError("fine_tune_steps must be non-negative")
-        if self.support_direction not in ("accumulated", "first_step"):
-            raise ConfigError(f"unknown support_direction {self.support_direction!r}")
-        if self.support_term not in ("first_step", "accumulated"):
-            raise ConfigError(f"unknown support_term {self.support_term!r}")
-        strat = tuple(float(p) for p in self.mask_strategy)
-        if len(strat) != 3 or any(p < 0 for p in strat) or abs(sum(strat) - 1.0) > 1e-9:
-            raise ConfigError(f"mask_strategy must be 3 non-negative proportions summing to 1, got {strat}")
+        try:
+            self.meta_config().validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     @classmethod
     def field_names(cls) -> tuple:
@@ -147,18 +147,12 @@ class ExperimentConfig:
         return self.use_mtp_test and self.method in AMGS_FAMILY
 
     def meta_config(self) -> MetaConfig:
-        mode = {"amgs": (True, "gated"),
-                "amgs_que": (False, "always"),
-                "amgs_sup": (True, "never"),
-                "amgs_que_sup": (True, "always")}.get(self.method, (True, "gated"))
-        include_support, query_mode = mode
-        return MetaConfig(
+        return replace(MetaConfig(
             inner_lr=self.inner_lr, meta_lr=self.meta_lr, inner_steps=self.inner_steps,
             aux_weight=self.aux_weight, gate_threshold=self.gate_threshold,
             mask_prob=self.mask_prob, mask_strategy=tuple(self.mask_strategy),
             support_direction=self.support_direction, support_term=self.support_term,
-            include_support=include_support, query_mode=query_mode,
-            reptile_use_query=self.reptile_use_query)
+            reptile_use_query=self.reptile_use_query), **METHOD_PRESETS[self.method])
 
 
 @dataclass
@@ -403,7 +397,6 @@ def run_ablation(config: ExperimentConfig, grid: dict, out_dir=None) -> list:
     for i, combo in enumerate(itertools.product(*value_lists)):
         point = dict(zip(keys, combo))
         point_config = replace(config, **point)
-        point_config.validate()
         point_dir = os.path.join(out_dir, f"point_{i:03d}") if out_dir is not None else None
         run = run_training(point_config, point_dir)
         results.append((point, run))

@@ -1,4 +1,5 @@
-"""Inner-loop adaptation, cosine-gated meta-updates, and first-order baselines.
+"""Inner-loop adaptation and the cosine-gated meta-update, with the
+first-order baselines as presets of it.
 
 The meta-learner keeps an initialization psi. For each episode the base
 learner takes plain gradient-descent steps on the support set (classification
@@ -7,12 +8,17 @@ adapted parameters is then either added to the meta-gradient or discarded,
 depending on the sign of its cosine against the support direction. The
 meta-update itself runs through Adam by default; a plain-SGD mode exists so
 single steps can be checked against hand-assembled sums.
+
+One loop, _step, runs every method and reads its behaviour from a MetaConfig:
+FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are settings of the gated
+update. Besides the preset, the step functions set whether the cosine is taken
+and logged (meta_step only) and whether the query set joins the inner batch
+(reptile_step with reptile_use_query).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,11 +30,20 @@ from .model import (
     PackedBatch,
     ParamLayout,
     PRIMARY_BLOCKS,
+    check_masking,
     grad_primary,
     grad_total,
     primary_loss,
+    read_checkpoint,
+    save_params,
     total_loss,
 )
+
+# The baselines as settings of the gated meta-update: the MetaConfig fields
+# fomaml_step and reptile_step replace before running it.
+FOMAML_PRESET = dict(aux_weight=0.0, include_support=False, query_mode="always")
+REPTILE_PRESET = dict(aux_weight=0.0, include_support=True, support_term="accumulated",
+                      query_mode="never")
 
 
 class InnerLoopError(RuntimeError):
@@ -89,6 +104,7 @@ class MetaConfig:
             raise ValueError(f"unknown query_mode {self.query_mode!r}")
         if self.meta_optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown meta_optimizer {self.meta_optimizer!r}")
+        check_masking(self.mask_prob, self.mask_strategy)
 
 
 @dataclass
@@ -113,32 +129,24 @@ class MetaState:
 
 @dataclass
 class AdaptResult:
-    """Output of one inner loop: adapted parameters and what the gate needs."""
+    """One episode's inner loop and, after evaluate_episode, its query side.
 
-    theta_hat: ModelParams
-    g_sup: FlatGradient       # support direction used for the cosine
-    first_grad: FlatGradient  # gradient of the total loss at the start point
-    loss_trace: list
-    masked: MaskedBatch | None
-
-
-@dataclass
-class InnerLoopResult:
-    """Everything one episode contributes to a meta step.
-
-    cos_value and gate_open are None when the episode has no query set; the
+    accumulated is the movement (psi - theta_hat)/inner_lr (zero at a zero
+    rate); g_sup, which the cosine compares against, is it or first_grad.
+    Query fields stay None where no query gradient was taken; the
     predictor-head blocks of g_qry are exactly zero whenever it exists.
     """
 
     theta_hat: ModelParams
+    accumulated: FlatGradient
     g_sup: FlatGradient
-    g_qry: FlatGradient | None
-    cos_value: float | None
-    gate_open: bool | None
+    first_grad: FlatGradient  # gradient of the total loss at the start point
     loss_trace: list
-    query_loss: float | None
-    first_grad: FlatGradient
     masked: MaskedBatch | None
+    g_qry: FlatGradient | None = None
+    query_loss: float | None = None
+    cos_value: float | None = None
+    gate_open: bool | None = None
 
 
 @dataclass
@@ -171,13 +179,11 @@ class StepReport:
         }
 
 
-def _adapt_batch(psi: ModelParams, batch, masked, inner_lr: float, steps: int,
-                 aux_weight: float):
-    """Plain gradient descent on the total loss from psi; the batch is packed
-    once and, like the masked batch, fixed across steps. Returns (flat adapted
-    params, first gradient, trace)."""
-    layout = psi.layout()
-    flat = psi.to_flat()
+def _adapt_batch(flat: np.ndarray, layout: ParamLayout, batch, masked,
+                 inner_lr: float, steps: int, aux_weight: float):
+    """Plain gradient descent on the total loss from the flat vector, which is
+    only read; the batch is packed once and, like the masked batch, fixed
+    across steps. Returns (flat adapted params, first gradient, trace)."""
     batch = PackedBatch.pack(batch)
     first = None
     trace = []
@@ -198,13 +204,15 @@ def inner_adapt(psi: ModelParams, episode, inner_lr: float, inner_steps: int,
                 aux_weight: float, rng: np.random.Generator, *,
                 mask_prob: float = 0.30, mask_strategy=(1.0, 0.0, 0.0),
                 support_direction: str = "accumulated",
-                masked: MaskedBatch | None = None) -> AdaptResult:
+                masked: MaskedBatch | None = None,
+                psi_flat: np.ndarray | None = None) -> AdaptResult:
     """Adapt psi to one episode's support set with inner_steps GD steps.
 
     When the auxiliary weight is positive, the masking pattern is drawn once
     here (or passed in) and reused for every step. The support direction for
     the gate is either the accumulated movement (psi - theta_hat)/inner_lr or
-    the first-step gradient, per support_direction.
+    the first-step gradient, per support_direction. psi_flat, when given, is
+    psi.to_flat() taken once by the caller; it is only read.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be at least 1")
@@ -213,17 +221,16 @@ def inner_adapt(psi: ModelParams, episode, inner_lr: float, inner_steps: int,
                                    mask_prob=mask_prob, strategy=mask_strategy,
                                    vocab_size=psi.vocab_size)
     layout = psi.layout()
-    psi_flat = psi.to_flat()
-    flat, first, trace = _adapt_batch(psi, episode.support, masked, inner_lr,
-                                      inner_steps, aux_weight)
-    if support_direction == "first_step":
-        g_sup = first
-    elif inner_lr == 0.0:
-        g_sup = FlatGradient.zeros(layout, dtype=psi_flat.dtype)
-    else:
-        g_sup = FlatGradient((psi_flat - flat) / inner_lr, layout)
-    return AdaptResult(theta_hat=ModelParams.from_flat(flat, layout), g_sup=g_sup,
-                       first_grad=first, loss_trace=trace, masked=masked)
+    if psi_flat is None:
+        psi_flat = psi.to_flat()
+    flat, first, trace = _adapt_batch(psi_flat, layout, episode.support, masked,
+                                      inner_lr, inner_steps, aux_weight)
+    movement = (psi_flat - flat) / inner_lr if inner_lr != 0.0 else np.zeros_like(psi_flat)
+    accumulated = FlatGradient(movement, layout)
+    g_sup = first if support_direction == "first_step" else accumulated
+    return AdaptResult(theta_hat=ModelParams.from_flat(flat, layout),
+                       accumulated=accumulated, g_sup=g_sup, first_grad=first,
+                       loss_trace=trace, masked=masked)
 
 
 def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,
@@ -248,13 +255,13 @@ def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,
     return cos, cos >= threshold
 
 
-def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
-    """One optimizer step on the flat meta-parameters; returns a new state."""
+def _apply_update(state: MetaState, meta_grad: np.ndarray, flat: np.ndarray) -> MetaState:
+    """One optimizer step on the flat meta-parameters flat (state.psi.to_flat(),
+    which is only read); returns a new state."""
     if not np.all(np.isfinite(meta_grad)):
         raise NumericalError("meta-gradient contains non-finite entries")
     cfg = state.cfg
     layout = state.psi.layout()
-    flat = state.psi.to_flat()
     t = state.step_count + 1
     if cfg.meta_optimizer == "sgd":
         new_flat = flat - cfg.meta_lr * meta_grad
@@ -270,27 +277,63 @@ def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
 
 
 def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
-                     rng: np.random.Generator) -> InnerLoopResult:
-    """Run one episode's inner loop and gate its query gradient.
+                     rng: np.random.Generator, *, cosine: bool = True,
+                     psi_flat: np.ndarray | None = None) -> AdaptResult:
+    """Run one episode's inner loop, then take the query gradient at the
+    adapted parameters where the update or the cosine uses it.
 
-    Episodes without a query set get no gradient, no cosine, and a closed
-    gate, so they can only contribute their support term.
+    With cosine (the AMGS family) the query gradient is gated by its cosine
+    against the support direction. An episode without a query set gets no
+    gradient, no cosine, and a closed gate, so it can only contribute its
+    support term.
     """
-    adapt = inner_adapt(psi, episode, cfg.inner_lr, cfg.inner_steps,
-                        cfg.aux_weight, rng, mask_prob=cfg.mask_prob,
-                        mask_strategy=cfg.mask_strategy,
-                        support_direction=cfg.support_direction)
-    if episode.query:
+    res = inner_adapt(psi, episode, cfg.inner_lr, cfg.inner_steps,
+                      cfg.aux_weight, rng, mask_prob=cfg.mask_prob,
+                      mask_strategy=cfg.mask_strategy,
+                      support_direction=cfg.support_direction, psi_flat=psi_flat)
+    res.gate_open = False if cosine else None
+    if episode.query and (cosine or cfg.query_mode != "never"):
         query = PackedBatch.pack(episode.query)
-        query_loss, _ = primary_loss(adapt.theta_hat, query)
-        g_qry = grad_primary(adapt.theta_hat, query)
-        cos, gate_open = gate(adapt.g_sup, g_qry, cfg.gate_threshold)
-    else:
-        query_loss, g_qry, cos, gate_open = None, None, None, False
-    return InnerLoopResult(theta_hat=adapt.theta_hat, g_sup=adapt.g_sup,
-                           g_qry=g_qry, cos_value=cos, gate_open=gate_open,
-                           loss_trace=adapt.loss_trace, query_loss=query_loss,
-                           first_grad=adapt.first_grad, masked=adapt.masked)
+        res.query_loss, _ = primary_loss(res.theta_hat, query)
+        res.g_qry = grad_primary(res.theta_hat, query)
+        if cosine:
+            res.cos_value, res.gate_open = gate(res.g_sup, res.g_qry, cfg.gate_threshold)
+    return res
+
+
+def _step(state: MetaState, episode_batch, rng: np.random.Generator,
+          cfg: MetaConfig, *, cosine: bool, query_in_inner: bool = False
+          ) -> tuple[MetaState, StepReport]:
+    """The meta-update of every step function, under cfg (state.cfg or a
+    baseline preset of it): per episode, adapt on the support set (plus the
+    query set with query_in_inner) and add the support term and the query
+    gradient cfg lets in; then one optimizer step. cosine takes and logs the
+    gate's cosine. psi is flattened once here and handed down."""
+    if not episode_batch:
+        raise ValueError("episode batch is empty")
+    psi_flat = state.psi.to_flat()
+    meta_grad = np.zeros_like(psi_flat)
+    rows = []  # one per episode, in StepReport field order
+    for ep in episode_batch:
+        if query_in_inner:
+            ep = replace(ep, support=list(ep.support) + list(ep.query))
+        res = evaluate_episode(state.psi, ep, cfg, rng, cosine=cosine, psi_flat=psi_flat)
+        if cfg.include_support:
+            term = res.first_grad if cfg.support_term == "first_step" else res.accumulated
+            meta_grad += term.values
+        include_query = res.g_qry is not None and (
+            cfg.query_mode == "always"
+            or (cfg.query_mode == "gated" and res.gate_open))
+        if include_query:
+            meta_grad += res.g_qry.values
+        rows.append((res.cos_value, res.gate_open if res.g_qry is not None else None,
+                     include_query or query_in_inner, res.loss_trace[-1], res.query_loss,
+                     res.g_sup.norm(PRIMARY_BLOCKS) if cosine else None,
+                     res.g_qry.norm(PRIMARY_BLOCKS) if res.g_qry is not None else None,
+                     res.masked.num_targets if res.masked is not None else 0))
+    new_state = _apply_update(state, meta_grad, psi_flat)
+    return new_state, StepReport(new_state.step_count, *map(list, zip(*rows)),
+                                 meta_grad_norm=float(np.linalg.norm(meta_grad)))
 
 
 def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
@@ -302,113 +345,31 @@ def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
     contribute their support term only, so deleting their query sets leaves
     the update bit-for-bit unchanged.
     """
-    if not episode_batch:
-        raise ValueError("episode batch is empty")
-    cfg = state.cfg
-    layout = state.psi.layout()
-    psi_flat = state.psi.to_flat()
-    meta_grad = np.zeros(layout.size, dtype=psi_flat.dtype)
-
-    cos_values, gates, used, sup_losses, qry_losses = [], [], [], [], []
-    sup_norms, qry_norms, aux_targets = [], [], []
-    for ep in episode_batch:
-        res = evaluate_episode(state.psi, ep, cfg, rng)
-        if cfg.include_support:
-            if cfg.support_term == "first_step":
-                meta_grad += res.first_grad.values
-            elif cfg.inner_lr > 0.0:
-                meta_grad += (psi_flat - res.theta_hat.to_flat()) / cfg.inner_lr
-        include_query = res.g_qry is not None and (
-            cfg.query_mode == "always"
-            or (cfg.query_mode == "gated" and res.gate_open))
-        if include_query:
-            meta_grad += res.g_qry.values
-
-        cos_values.append(res.cos_value)
-        gates.append(res.gate_open if res.g_qry is not None else None)
-        used.append(include_query)
-        sup_losses.append(res.loss_trace[-1])
-        qry_losses.append(res.query_loss)
-        sup_norms.append(res.g_sup.norm(PRIMARY_BLOCKS))
-        qry_norms.append(res.g_qry.norm(PRIMARY_BLOCKS) if res.g_qry is not None else None)
-        aux_targets.append(res.masked.num_targets if res.masked is not None else 0)
-
-    new_state = _apply_update(state, meta_grad)
-    report = StepReport(step=new_state.step_count, cos_values=cos_values,
-                        gates=gates, query_used=used, support_losses=sup_losses,
-                        query_losses=qry_losses, g_sup_norms=sup_norms,
-                        g_qry_norms=qry_norms, aux_targets=aux_targets,
-                        meta_grad_norm=float(np.linalg.norm(meta_grad)))
-    return new_state, report
+    return _step(state, episode_batch, rng, state.cfg, cosine=True)
 
 
 def fomaml_step(state: MetaState, episode_batch, rng: np.random.Generator
                 ) -> tuple[MetaState, StepReport]:
-    """First-order MAML: adapt on the classification loss only, then apply the
-    query gradient at the adapted parameters as the meta-gradient. An episode
-    without a query set contributes nothing."""
-    if not episode_batch:
-        raise ValueError("episode batch is empty")
-    cfg = state.cfg
-    layout = state.psi.layout()
-    meta_grad = np.zeros(layout.size, dtype=state.psi.E.dtype)
-    used, sup_losses, qry_losses, qry_norms = [], [], [], []
-    for ep in episode_batch:
-        adapt = inner_adapt(state.psi, ep, cfg.inner_lr, cfg.inner_steps, 0.0, rng)
-        sup_losses.append(adapt.loss_trace[-1])
-        used.append(bool(ep.query))
-        if not ep.query:
-            qry_losses.append(None)
-            qry_norms.append(None)
-            continue
-        query = PackedBatch.pack(ep.query)
-        q_loss, _ = primary_loss(adapt.theta_hat, query)
-        g_qry = grad_primary(adapt.theta_hat, query)
-        meta_grad += g_qry.values
-        qry_losses.append(q_loss)
-        qry_norms.append(g_qry.norm(PRIMARY_BLOCKS))
-    new_state = _apply_update(state, meta_grad)
-    n = len(episode_batch)
-    report = StepReport(step=new_state.step_count, cos_values=[None] * n,
-                        gates=[None] * n, query_used=used,
-                        support_losses=sup_losses, query_losses=qry_losses,
-                        g_sup_norms=[None] * n, g_qry_norms=qry_norms,
-                        aux_targets=[0] * n,
-                        meta_grad_norm=float(np.linalg.norm(meta_grad)))
-    return new_state, report
+    """First-order MAML, the meta-update under FOMAML_PRESET: adapt on the
+    classification loss only, then apply the query gradient at the adapted
+    parameters as the meta-gradient. An episode without a query set
+    contributes nothing; no cosine is taken."""
+    return _step(state, episode_batch, rng, replace(state.cfg, **FOMAML_PRESET), cosine=False)
 
 
 def reptile_step(state: MetaState, episode_batch, rng: np.random.Generator
                  ) -> tuple[MetaState, StepReport]:
-    """Reptile: move psi toward the inner-loop solution.
+    """Reptile, the meta-update under REPTILE_PRESET: move psi toward the
+    inner-loop solution.
 
     The accumulated movement (psi - theta_hat)/inner_lr is fed to the meta
     optimizer as a gradient. The inner loop consumes the support set only
-    unless reptile_use_query is set.
+    unless reptile_use_query is set; no query gradient is taken.
     """
-    if not episode_batch:
-        raise ValueError("episode batch is empty")
-    cfg = state.cfg
-    if cfg.inner_lr <= 0.0:
+    if state.cfg.inner_lr <= 0.0:
         raise ValueError("reptile requires a positive inner_lr")
-    psi_flat = state.psi.to_flat()
-    meta_grad = np.zeros_like(psi_flat)
-    sup_losses = []
-    for ep in episode_batch:
-        batch = list(ep.support) + (list(ep.query) if cfg.reptile_use_query else [])
-        flat_hat, _, trace = _adapt_batch(state.psi, batch, None, cfg.inner_lr,
-                                          cfg.inner_steps, 0.0)
-        meta_grad += (psi_flat - flat_hat) / cfg.inner_lr
-        sup_losses.append(trace[-1])
-    new_state = _apply_update(state, meta_grad)
-    n = len(episode_batch)
-    report = StepReport(step=new_state.step_count, cos_values=[None] * n,
-                        gates=[None] * n, query_used=[cfg.reptile_use_query] * n,
-                        support_losses=sup_losses, query_losses=[None] * n,
-                        g_sup_norms=[None] * n, g_qry_norms=[None] * n,
-                        aux_targets=[0] * n,
-                        meta_grad_norm=float(np.linalg.norm(meta_grad)))
-    return new_state, report
+    return _step(state, episode_batch, rng, replace(state.cfg, **REPTILE_PRESET),
+                 cosine=False, query_in_inner=state.cfg.reptile_use_query)
 
 
 def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool,
@@ -429,7 +390,8 @@ def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool,
         masked = MaskedBatch.build([seq for seq, _ in support], rng,
                                    mask_prob=mask_prob, strategy=mask_strategy,
                                    vocab_size=psi.vocab_size)
-    flat, _, _ = _adapt_batch(psi, support, masked, inner_lr, steps, effective_aux)
+    flat, _, _ = _adapt_batch(psi.to_flat(), psi.layout(), support, masked, inner_lr,
+                              steps, effective_aux)
     return ModelParams.from_flat(flat, psi.layout())
 
 
@@ -455,41 +417,14 @@ def meta_test(psi: ModelParams, episode, fine_tune_steps: int, use_mtp: bool,
 # ---------------------------------------------------------------------------
 # meta-state checkpointing: the parameter format with Adam moments appended
 
-_META_MAGIC = "metatext-meta"
+_META_FORMAT = "metatext-meta"
 
 
 def save_meta_state(path, state: MetaState) -> None:
-    psi = state.psi
-    layout = psi.layout()
-    header = {
-        "format": _META_MAGIC,
-        "vocab_size": psi.vocab_size,
-        "d_emb": psi.d_emb,
-        "d_h": psi.d_h,
-        "n_way": psi.n_way,
-        "blocks": layout.header_blocks(),
-        "sections": ["psi", "adam_m", "adam_v"],
-        "step_count": state.step_count,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for vec in (psi.to_flat(), state.m, state.v):
-            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+    save_params(path, state.psi, _META_FORMAT, {"adam_m": state.m, "adam_v": state.v},
+                step_count=state.step_count)
 
 
 def load_meta_state(path, cfg: MetaConfig) -> MetaState:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    if header.get("format") != _META_MAGIC:
-        raise ValueError(f"{path}: not a meta-state checkpoint")
-    layout = ParamLayout.build(header["vocab_size"], header["d_emb"],
-                               header["d_h"], header["n_way"])
-    expected = layout.size * 8 * 3
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    n = layout.size
-    return MetaState(psi=ModelParams.from_flat(flat[:n], layout),
-                     m=flat[n:2 * n].copy(), v=flat[2 * n:].copy(),
-                     step_count=int(header["step_count"]), cfg=cfg)
+    header, psi, (m, v) = read_checkpoint(path, _META_FORMAT)
+    return MetaState(psi=psi, m=m, v=v, step_count=int(header["step_count"]), cfg=cfg)

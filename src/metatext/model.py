@@ -86,12 +86,6 @@ class ParamLayout:
         except KeyError:
             raise KeyError(f"unknown parameter block {name!r}") from None
 
-    def block_shape(self, name: str) -> tuple[int, ...]:
-        for bname, _, _, shape in self.blocks:
-            if bname == name:
-                return shape
-        raise KeyError(f"unknown parameter block {name!r}")
-
     def subset(self, values: np.ndarray, names) -> np.ndarray:
         """Concatenate the given blocks of a flat vector, in layout order."""
         wanted = set(names)
@@ -101,9 +95,6 @@ class ParamLayout:
             if name in wanted
         ]
         return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
-
-    def header_blocks(self):
-        return [[name, offset, length] for name, offset, length, _ in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -183,11 +174,10 @@ class ModelParams:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
 
     def validate(self) -> None:
-        layout = self.layout()
-        for name in BLOCK_NAMES:
+        for name, _, _, shape in self.layout().blocks:
             arr = getattr(self, name)
-            if arr.shape != layout.block_shape(name):
-                raise ValueError(f"block {name} has shape {arr.shape}, expected {layout.block_shape(name)}")
+            if arr.shape != shape:
+                raise ValueError(f"block {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"block {name} contains non-finite entries")
 
@@ -280,6 +270,18 @@ class MaskedBatch:
         return cls(sequences=masked_seqs, targets=targets, n_skipped=n_skipped)
 
 
+def check_masking(mask_prob: float, strategy) -> tuple[float, float, float]:
+    """Check a masking probability and (mask, same, random) replacement
+    proportions; returns the proportions as floats."""
+    if not 0.0 < mask_prob <= 1.0:
+        raise ValueError(f"mask_prob must be in (0, 1], got {mask_prob}")
+    strategy = tuple(float(p) for p in strategy)
+    if len(strategy) != 3 or any(p < 0 for p in strategy) or abs(sum(strategy) - 1.0) > 1e-9:
+        raise ValueError("mask_strategy must be 3 non-negative proportions summing to 1, "
+                         f"got {strategy}")
+    return strategy
+
+
 def mask_tokens(sequence, rng: np.random.Generator, mask_prob: float = 0.30,
                 strategy=(1.0, 0.0, 0.0), vocab_size: int | None = None):
     """Draw the masking pattern for one sequence.
@@ -291,12 +293,7 @@ def mask_tokens(sequence, rng: np.random.Generator, mask_prob: float = 0.30,
     (masked sequence, [(position, original id), ...]), or None when the
     sequence has no maskable token.
     """
-    if not 0.0 < mask_prob <= 1.0:
-        raise ValueError(f"mask_prob must be in (0, 1], got {mask_prob}")
-    strategy = tuple(float(p) for p in strategy)
-    if len(strategy) != 3 or any(p < 0 for p in strategy) or abs(sum(strategy) - 1.0) > 1e-9:
-        raise ValueError(f"strategy proportions must be non-negative and sum to 1, got {strategy}")
-    p_mask, p_same, p_random = strategy
+    p_mask, p_same, p_random = check_masking(mask_prob, strategy)
     if p_random > 0 and vocab_size is None:
         raise ValueError("vocab_size is required when the random-replacement proportion is nonzero")
 
@@ -605,38 +602,52 @@ def grad_total(params: ModelParams, support_batch, masked_support,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one JSON header line, then the flat vector as
-# little-endian float64 bytes
+# checkpoint format: one JSON header line, then the flat parameter vector and
+# any further sections of the same length, little-endian in the parameters'
+# own dtype; the header names the dtype unless it is float64, so float64 files
+# keep the bytes they had before dtypes were recorded
 
-_MAGIC = "metatext-params"
+_PARAMS_FORMAT = "metatext-params"
 
 
-def save_params(path, params: ModelParams) -> None:
-    layout = params.layout()
-    header = {
-        "format": _MAGIC,
-        "vocab_size": params.vocab_size,
-        "d_emb": params.d_emb,
-        "d_h": params.d_h,
-        "n_way": params.n_way,
-        "blocks": layout.header_blocks(),
-    }
+def save_params(path, params: ModelParams, fmt: str = _PARAMS_FORMAT,
+                sections: dict | None = None, **header_fields) -> None:
+    """Write params, then each named section of the same length, under a
+    header of the format, the shapes, the blocks, the section names (when there
+    are sections) and header_fields."""
+    blocks = [[name, offset, length] for name, offset, length, _ in params.layout().blocks]
+    header = {"format": fmt, "vocab_size": params.vocab_size, "d_emb": params.d_emb,
+              "d_h": params.d_h, "n_way": params.n_way, "blocks": blocks}
+    if params.E.dtype != np.float64:
+        header["dtype"] = params.E.dtype.name
+    if sections:
+        header["sections"] = ["psi", *sections]
+    header.update(header_fields)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(params.to_flat(), dtype="<f8").tobytes())
+        for vec in (params.to_flat(), *(sections or {}).values()):
+            fh.write(np.ascontiguousarray(vec, params.E.dtype.newbyteorder("<")).tobytes())
+
+
+def read_checkpoint(path, fmt: str = _PARAMS_FORMAT) -> tuple[dict, ModelParams, list]:
+    """Read what save_params wrote: (header, params, the further sections in
+    order), in the dtype they were written in."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        payload = fh.read()
+    if header.get("format") != fmt:
+        raise ValueError(f"{path}: not a {fmt} checkpoint")
+    layout = ParamLayout.build(header["vocab_size"], header["d_emb"],
+                               header["d_h"], header["n_way"])
+    dtype = np.dtype(header.get("dtype", "float64"))
+    n_sections = len(header.get("sections", ["psi"]))
+    expected = layout.size * n_sections * dtype.itemsize
+    if dtype not in (np.float64, np.float32) or len(payload) != expected:
+        raise ValueError(f"{path}: {dtype} payload has {len(payload)} bytes, expected {expected}")
+    flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
+    psi, *rest = np.split(flat, n_sections)
+    return header, ModelParams.from_flat(psi, layout), rest
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != _MAGIC:
-        raise ValueError(f"{path}: not a parameter checkpoint")
-    layout = ParamLayout.build(header["vocab_size"], header["d_emb"],
-                               header["d_h"], header["n_way"])
-    expected = layout.size * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ModelParams.from_flat(flat, layout)
+    return read_checkpoint(path)[1]

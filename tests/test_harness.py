@@ -60,6 +60,12 @@ def test_config_validation_catches_bad_fields(synth):
         tiny_config(synth, aux_weight=1.5).validate()
     with pytest.raises(ConfigError, match="mask_strategy"):
         tiny_config(synth, mask_strategy=(0.5, 0.2, 0.2)).validate()
+    with pytest.raises(ConfigError, match="mask_prob"):
+        tiny_config(synth, mask_prob=0.0).validate()
+    with pytest.raises(ConfigError, match="support_term"):
+        tiny_config(synth, method="reptile", support_term="last").validate()
+    with pytest.raises(ConfigError, match="inner_steps"):
+        tiny_config(synth, inner_steps=0).validate()
 
 
 def test_config_from_dict_rejects_unknown_keys():

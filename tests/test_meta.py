@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from metatext import meta
 from metatext.episodes import Episode
+from metatext.harness import METHODS, ExperimentConfig, _step_fn
 from metatext.meta import (
     InnerLoopError,
     MetaConfig,
@@ -22,6 +26,7 @@ from metatext.model import (
     FlatGradient,
     MaskedBatch,
     ModelConfig,
+    ModelParams,
     NumericalError,
     PREDICTOR_BLOCKS,
     grad_primary,
@@ -77,7 +82,6 @@ def test_inner_adapt_matches_independent_loop(setup):
 
     flat = psi.to_flat()
     layout = psi.layout()
-    from metatext.model import ModelParams
     for _ in range(5):
         params = ModelParams.from_flat(flat, layout)
         flat = flat - 0.2 * grad_total(params, ep.support, masked, 1e-3).values
@@ -293,7 +297,6 @@ def test_meta_step_nonfinite_meta_gradient_aborts(setup):
 
 
 def test_meta_step_report_is_json_serializable(setup):
-    import json
     _, psi, ep, _ = setup
     state = MetaState.create(psi, sgd_config())
     _, rep = meta_step(state, [ep], np.random.default_rng(0))
@@ -301,6 +304,44 @@ def test_meta_step_report_is_json_serializable(setup):
     decoded = json.loads(line)
     assert decoded["step"] == 1
     assert len(decoded["cos"]) == 1
+
+
+@pytest.mark.parametrize("method,use_query",
+                         [(m, False) for m in METHODS] + [("reptile", True)])
+def test_step_report_fields_per_method(method, use_query, setup, monkeypatch):
+    # Which StepReport fields each method fills; metrics.jsonl carries them.
+    _, psi, ep, rng = setup
+    calls = {"grad_primary": 0, "gate": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(meta, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(meta, name, counted)
+    config = ExperimentConfig(method=method, inner_lr=0.1, meta_lr=0.05, inner_steps=2,
+                              aux_weight=1e-3, reptile_use_query=use_query)
+    state = MetaState.create(psi, config.meta_config())
+    _, rep = _step_fn(method)(state, [ep, random_episode(rng)], np.random.default_rng(0))
+    n = 2
+    json.dumps(rep.to_dict())
+    assert all(isinstance(x, float) for x in rep.support_losses)
+    if method in ("fomaml", "reptile"):
+        assert rep.cos_values == rep.gates == rep.g_sup_norms == [None] * n
+        assert rep.aux_targets == [0] * n
+        assert calls["gate"] == 0
+    else:  # amgs_sup, too, logs the cosine it does not act on
+        assert all(isinstance(x, float) for x in rep.cos_values + rep.g_sup_norms)
+        assert all(isinstance(x, bool) for x in rep.gates)
+        assert all(x > 0 for x in rep.aux_targets)
+        assert calls["gate"] == n
+    if method == "reptile":
+        assert rep.query_losses == rep.g_qry_norms == [None] * n
+        assert rep.query_used == [use_query] * n
+        assert calls["grad_primary"] == 0
+    else:
+        assert all(isinstance(x, float) for x in rep.query_losses + rep.g_qry_norms)
+        assert calls["grad_primary"] == n
+    if method == "fomaml":
+        assert rep.query_used == [True] * n
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +353,30 @@ def test_fomaml_single_step_formula(setup):
     state = MetaState.create(psi, sgd_config(inner_steps=1))
     new, _ = fomaml_step(state, [ep], np.random.default_rng(0))
     inner = psi.to_flat() - 0.1 * grad_primary(psi, ep.support).values
-    from metatext.model import ModelParams
     theta = ModelParams.from_flat(inner, psi.layout())
     expected = psi.to_flat() - 0.05 * grad_primary(theta, ep.query).values
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
 
 
 def test_fomaml_equals_reduced_amgs(setup):
+    # Both the gated step under the FOMAML settings and fomaml_step (on a
+    # config whose aux weight, support term and gate it must ignore) match a
+    # hand-assembled FOMAML update: inner GD on the classification loss, then
+    # the query gradient at the adapted parameters.
     _, psi, ep, _ = setup
+    theta = psi.to_flat()
+    for _ in range(2):
+        theta = theta - 0.1 * grad_total(ModelParams.from_flat(theta, psi.layout()),
+                                         ep.support, None, 0.0).values
+    g_qry = grad_primary(ModelParams.from_flat(theta, psi.layout()), ep.query)
+    expected = psi.to_flat() - 0.05 * g_qry.values
+
     reduced = MetaState.create(psi, sgd_config(aux_weight=0.0, include_support=False,
                                                query_mode="always"))
     s_amgs, _ = meta_step(reduced, [ep], np.random.default_rng(1))
-    fomaml = MetaState.create(psi, sgd_config())
-    s_fom, _ = fomaml_step(fomaml, [ep], np.random.default_rng(1))
-    assert np.abs(s_amgs.psi.to_flat() - s_fom.psi.to_flat()).max() < 1e-12
+    s_fom, _ = fomaml_step(MetaState.create(psi, sgd_config()), [ep], np.random.default_rng(1))
+    assert np.abs(s_amgs.psi.to_flat() - expected).max() < 1e-12
+    assert np.abs(s_fom.psi.to_flat() - expected).max() < 1e-12
 
 
 def test_fomaml_skips_queryless_episodes_like_meta_step(setup):
@@ -469,7 +520,7 @@ def test_adam_constant_gradient_update_magnitude_approaches_rate(setup):
     g[::3] = -2.0
     for _ in range(50):
         prev = state.psi.to_flat()
-        state = _apply_update(state, g)
+        state = _apply_update(state, g, state.psi.to_flat())
         step = np.abs(state.psi.to_flat() - prev)
     assert np.abs(step - 0.05).max() < 1e-6
 
@@ -478,7 +529,7 @@ def test_sgd_mode_is_plain_descent(setup):
     _, psi, _, _ = setup
     state = MetaState.create(psi, sgd_config())
     g = np.full(psi.layout().size, 0.25)
-    new = _apply_update(state, g)
+    new = _apply_update(state, g, psi.to_flat())
     assert np.array_equal(new.psi.to_flat(), psi.to_flat() - 0.05 * g)
     assert np.all(new.m == 0.0) and np.all(new.v == 0.0)
 
@@ -489,7 +540,7 @@ def test_apply_update_rejects_nonfinite(setup):
     g = np.zeros(psi.layout().size)
     g[0] = np.nan
     with pytest.raises(NumericalError):
-        _apply_update(state, g)
+        _apply_update(state, g, psi.to_flat())
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +574,25 @@ def test_meta_state_checkpoint_round_trip(tmp_path, setup):
     assert np.array_equal(loaded.psi.to_flat(), state.psi.to_flat())
     assert np.array_equal(loaded.m, state.m)
     assert np.array_equal(loaded.v, state.v)
+
+
+def test_meta_state_checkpoint_keeps_float32(tmp_path):
+    rng = np.random.default_rng(22)
+    psi = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3, dtype="float32").init_params(rng)
+    cfg = MetaConfig(inner_lr=0.1, meta_lr=0.01, inner_steps=1)
+    state, _ = meta_step(MetaState.create(psi, cfg), [random_episode(rng)], rng)
+    path = tmp_path / "meta.bin"
+    save_meta_state(path, state)
+    loaded = load_meta_state(path, cfg)
+    assert loaded.step_count == 1
+    for a, b in ((loaded.psi.to_flat(), state.psi.to_flat()), (loaded.m, state.m),
+                 (loaded.v, state.v)):
+        assert a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+
+
+def test_meta_config_checks_masking():
+    with pytest.raises(ValueError, match="mask_prob"):
+        MetaConfig(mask_prob=0.0).validate()
+    with pytest.raises(ValueError, match="mask_strategy"):
+        MetaConfig(mask_strategy=(0.5, 0.2, 0.2)).validate()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -356,12 +358,47 @@ def test_checkpoint_round_trip(tmp_path, small_model_cfg):
     assert loaded.n_way == params.n_way
 
 
+def test_checkpoint_float64_bytes(tmp_path, small_model_cfg):
+    # The float64 format: one JSON header line, then the flat vector as
+    # little-endian float64.
+    params = small_model_cfg.init_params(np.random.default_rng(15))
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    layout = small_model_cfg.layout()
+    assert json.loads(header) == {
+        "format": "metatext-params", "vocab_size": 12, "d_emb": 4, "d_h": 3, "n_way": 3,
+        "blocks": [[name, offset, length] for name, offset, length, _ in layout.blocks]}
+    assert payload == params.to_flat().astype("<f8").tobytes()
+
+
+def test_checkpoint_keeps_float32(tmp_path):
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3, dtype="float32")
+    params = cfg.init_params(np.random.default_rng(16))
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    assert json.loads(header)["dtype"] == "float32"
+    assert payload == params.to_flat().astype("<f4").tobytes()
+    loaded = load_params(path)
+    assert loaded.E.dtype == np.float32
+    assert loaded.to_flat().tobytes() == params.to_flat().tobytes()
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="bytes"):
+        load_params(path)
+
+
 def test_checkpoint_rejects_truncated_payload(tmp_path, small_model_cfg):
     params = small_model_cfg.init_params(np.random.default_rng(13))
     path = tmp_path / "params.bin"
     save_params(path, params)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match="bytes"):
+        load_params(path)
+    # Half the float64 payload is as many bytes as a float32 one.
+    header, _, payload = data.partition(b"\n")
+    path.write_bytes(header + b"\n" + payload[: len(payload) // 2])
     with pytest.raises(ValueError, match="bytes"):
         load_params(path)
 
