@@ -102,6 +102,9 @@ def _cmd_export_embeddings(args) -> int:
     if psi.n_way != config.n_way:
         raise ValueError(f"checkpoint was trained for n_way={psi.n_way}, "
                          f"config has n_way={config.n_way}")
+    if psi.vocab_size != corpus.vocab_size:
+        raise ValueError(f"checkpoint has vocab_size={psi.vocab_size}, the corpus "
+                         f"vocabulary under this config has {corpus.vocab_size} tokens")
     episode = sample_episode(corpus, split, args.part, config.n_way, config.k_shot,
                              config.query_per_class, np.random.default_rng([args.episode_seed, 0]))
     count = export_embeddings(

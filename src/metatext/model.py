@@ -140,7 +140,8 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Partitioned parameter store. Treat instances as immutable; ops never mutate."""
+    """Partitioned parameter store. Treat instances as immutable; ops never
+    mutate, and batches memoise passes by the identity of the instance."""
 
     E: np.ndarray
     W1: np.ndarray
@@ -165,10 +166,6 @@ class ModelParams:
     @property
     def n_way(self) -> int:
         return self.C.shape[0]
-
-    def config(self) -> ModelConfig:
-        return ModelConfig(self.vocab_size, self.d_emb, self.d_h, self.n_way,
-                           dtype=str(self.E.dtype))
 
     def layout(self) -> ParamLayout:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
@@ -226,12 +223,14 @@ class MaskedBatch:
     targets holds (sequence index, position, original token id) triples; under
     the default all-mask replacement strategy every target position carries
     MASK_ID in the masked sequence. The padded arrays are derived once per
-    instance, so treat an instance as immutable.
+    instance, and the last pass of the masked-token branch is memoised on it,
+    so treat an instance as immutable.
     """
 
     sequences: list
     targets: list
     n_skipped: int = 0
+    memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_targets(self) -> int:
@@ -367,11 +366,13 @@ def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class PackedBatch:
     """(sequence, label) pairs padded once; the losses and gradients accept it
-    in place of the pairs, so a batch used for many steps is packed once."""
+    in place of the pairs, so a batch used for many steps is packed once, and
+    a gradient taken after its loss at the same params reuses the pass."""
 
     tokens: np.ndarray   # (B, L) int
     mask: np.ndarray     # (B, L) bool, False at PAD
     labels: np.ndarray   # (B,) int
+    memo: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def pack(cls, batch) -> "PackedBatch":
@@ -440,16 +441,37 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits
 
 
+def _primary_pass(params: ModelParams, packed: PackedBatch):
+    """(forward pass, logits, loss, d loss/d logits) of the classification
+    branch, memoised on the batch for the last params object it saw."""
+    slot = packed.memo
+    if slot is None or slot[0] is not params:
+        fw = _forward(params, packed.tokens, packed.mask)
+        logits = fw.rep @ params.C.T + params.c0
+        slot = packed.memo = (params, (fw, logits, *_softmax_xent(logits, packed.labels)))
+    return slot[1]
+
+
+def _aux_pass(params: ModelParams, masked: MaskedBatch):
+    """(forward pass, target hidden states, loss, d loss/d logits) of the
+    masked-token branch, memoised like _primary_pass."""
+    slot = masked.memo
+    if slot is None or slot[0] is not params:
+        fw = _forward(params, *masked.packed)
+        si, pos, orig = masked.target_arrays
+        h_tgt = fw.hidden[si, pos]                      # (T, Dh)
+        logits = h_tgt @ params.P.T + params.p0          # (T, V)
+        slot = masked.memo = (params, (fw, h_tgt, *_softmax_xent(logits, orig)))
+    return slot[1]
+
+
 def primary_loss(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     """Mean classification cross-entropy over (sequence, label) pairs or a
     PackedBatch.
 
     Returns (loss, logits) with logits of shape (batch, n_way).
     """
-    packed = _labelled(params, batch)
-    fw = _forward(params, packed.tokens, packed.mask)
-    logits = fw.rep @ params.C.T + params.c0
-    loss, _ = _softmax_xent(logits, packed.labels)
+    _, logits, loss, _ = _primary_pass(params, _labelled(params, batch))
     return loss, logits
 
 
@@ -457,12 +479,7 @@ def aux_loss(params: ModelParams, masked: MaskedBatch) -> float:
     """Mean vocabulary cross-entropy over every masked-token target."""
     if masked.num_targets == 0:
         raise ValueError("masked batch has no targets; caller must filter")
-    fw = _forward(params, *masked.packed)
-    si, pos, orig = masked.target_arrays
-    h_tgt = fw.hidden[si, pos]                      # (T, Dh)
-    logits = h_tgt @ params.P.T + params.p0          # (T, V)
-    loss, _ = _softmax_xent(logits, orig)
-    return loss
+    return _aux_pass(params, masked)[2]
 
 
 def total_loss(params: ModelParams, support_batch, masked_support,
@@ -520,35 +537,27 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
 
 def _grad_primary_raw(params: ModelParams, batch):
     """Gradient of the classification loss; aux-head blocks stay exactly zero."""
-    packed = _labelled(params, batch)
-    fw = _forward(params, packed.tokens, packed.mask)
-    logits = fw.rep @ params.C.T + params.c0
-    loss, d_logits = _softmax_xent(logits, packed.labels)
-
+    fw, _, _, d_logits = _primary_pass(params, _labelled(params, batch))
     dC = d_logits.T @ fw.rep
     dc0 = d_logits.sum(axis=0)
     d_rep = d_logits @ params.C                                  # (B, Dh)
     pool = (fw.mask / fw.counts[:, None])                        # (B, L)
     d_hidden = d_rep[:, None, :] * pool[..., None]
     dE, dW1, db1 = _backprop_encoder(params, fw, d_hidden)
-    return loss, dE, dW1, db1, dC, dc0
+    return dE, dW1, db1, dC, dc0
 
 
 def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
     """Gradient of the masked-token loss; classifier blocks stay exactly zero."""
-    fw = _forward(params, *masked.packed)
-    si, pos, orig = masked.target_arrays
-    h_tgt = fw.hidden[si, pos]
-    logits = h_tgt @ params.P.T + params.p0
-    loss, d_logits = _softmax_xent(logits, orig)
-
+    fw, h_tgt, _, d_logits = _aux_pass(params, masked)
+    si, pos, _ = masked.target_arrays
     dP = d_logits.T @ h_tgt
     dp0 = d_logits.sum(axis=0)
     d_h_tgt = d_logits @ params.P                                # (T, Dh)
     d_hidden = np.zeros_like(fw.hidden)
     np.add.at(d_hidden, (si, pos), d_h_tgt)
     dE, dW1, db1 = _backprop_encoder(params, fw, d_hidden)
-    return loss, dE, dW1, db1, dP, dp0
+    return dE, dW1, db1, dP, dp0
 
 
 def _add_blocks(grad: FlatGradient, weight: float, names, arrays) -> None:
@@ -573,7 +582,7 @@ def grad_primary(params: ModelParams, batch) -> FlatGradient:
     Predictor-head blocks of the result are exactly zero: the classification
     path never touches them.
     """
-    _, *blocks = _grad_primary_raw(params, batch)
+    blocks = _grad_primary_raw(params, batch)
     grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
     slices = grad.layout.slices
     # Assigned, not added: the result keeps each block's bits, -0.0 included.
@@ -593,10 +602,10 @@ def grad_total(params: ModelParams, support_batch, masked_support,
     # Blocks are added into the zero vector, not assigned: 0.0 + x turns a
     # -0.0 entry into +0.0, and the outputs depend on those bits.
     if aux_weight < 1.0 or not aux_active:
-        _, *blocks = _grad_primary_raw(params, support_batch)
+        blocks = _grad_primary_raw(params, support_batch)
         _add_blocks(grad, 1.0 - aux_weight, PRIMARY_BLOCKS, blocks)
     if aux_active:
-        _, *blocks = _grad_aux_raw(params, masked_support)
+        blocks = _grad_aux_raw(params, masked_support)
         _add_blocks(grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS, blocks)
     return _check_finite(grad, "grad_total")
 

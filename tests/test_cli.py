@@ -27,6 +27,17 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def checkpoint(workspace):
+    """The checkpoint test_train_command writes, trained here when an export
+    test runs without it."""
+    path = workspace / "run" / "psi_seed1.bin"
+    if not path.exists():
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--out", str(workspace / "run")]) == 0
+    return path
+
+
 def test_gen_corpus_writes_files(workspace):
     assert (workspace / "corpus.jsonl").exists()
     split = json.loads((workspace / "split.json").read_text())
@@ -71,14 +82,27 @@ def test_train_missing_corpus_exits_nonzero(workspace, capsys):
     json.loads(err)  # machine readable
 
 
-def test_export_embeddings_command(workspace, capsys):
+def test_export_embeddings_command(workspace, checkpoint, capsys):
     rc = main(["export-embeddings", "--config", str(workspace / "config.json"),
-               "--checkpoint", str(workspace / "run" / "psi_seed1.bin"),
+               "--checkpoint", str(checkpoint),
                "--part", "test", "--episode-seed", "3",
                "--out", str(workspace / "emb.csv")])
     assert rc == 0
     lines = (workspace / "emb.csv").read_text().splitlines()
     assert len(lines) == 1 + 3 * 2
+
+
+def test_export_embeddings_rejects_other_vocabulary(workspace, checkpoint, capsys):
+    # min_freq=10 keeps 33 of the 68 tokens the checkpoint was trained on and
+    # renumbers them, so every token id would pick another token's embedding.
+    rc = main(["export-embeddings", "--config", str(workspace / "config.json"),
+               "--set", "min_freq=10", "--checkpoint", str(checkpoint),
+               "--out", str(workspace / "emb_other_vocab.csv")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "vocab_size=68" in payload["message"] and "33 tokens" in payload["message"]
+    assert not (workspace / "emb_other_vocab.csv").exists()
 
 
 def test_ablate_command_with_grid_file(workspace, capsys):

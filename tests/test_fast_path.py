@@ -1,16 +1,18 @@
-"""Oracles for the inner loop's fast path: packed batches against (sequence,
-label) pairs, flat-buffer views against copied blocks, and psi left untouched
-by every step function that adapts from it."""
+"""Oracles for the inner loop's fast path: packed and memoising batches
+against (sequence, label) pairs, one forward pass per branch and step,
+flat-buffer views against copied blocks, and psi left untouched by every step
+function that adapts from it."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metatext import model
 from metatext.episodes import Episode
-from metatext.meta import (MetaConfig, MetaState, fine_tune, fomaml_step, inner_adapt,
-                           meta_step, reptile_step)
+from metatext.meta import (MetaConfig, MetaState, evaluate_episode, fine_tune, fomaml_step,
+                           inner_adapt, meta_step, reptile_step)
 from metatext.model import (FIRST_REAL_ID, PAD_ID, MaskedBatch, ModelConfig, ModelParams,
-                            PackedBatch, ParamLayout, grad_primary, grad_total,
+                            PackedBatch, ParamLayout, aux_loss, grad_primary, grad_total,
                             primary_loss, total_loss)
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -46,20 +48,75 @@ def test_packed_batch_matches_pairs_bitwise(cfg, seed, size, aux_weight):
     masked = MaskedBatch.build([s for s, _ in pairs], rng, vocab_size=cfg.vocab_size)
     packed = PackedBatch.pack(pairs)
     assert PackedBatch.pack(packed) is packed
-    # One packed batch and one masked batch serve several parameter points,
-    # as in the inner loop; a fresh masked batch has nothing derived yet.
-    for _ in range(2):
-        params = cfg.init_params(rng)
-        fresh = MaskedBatch(sequences=masked.sequences, targets=masked.targets)
-        loss_p, logits_p = primary_loss(params, packed)
-        loss_s, logits_s = primary_loss(params, pairs)
-        assert same_bits(loss_p, loss_s) and same_bits(logits_p, logits_s)
-        assert same_bits(total_loss(params, packed, masked, aux_weight),
-                         total_loss(params, pairs, fresh, aux_weight))
-        assert same_bits(grad_primary(params, packed).values,
-                         grad_primary(params, pairs).values)
-        assert same_bits(grad_total(params, packed, masked, aux_weight).values,
-                         grad_total(params, pairs, fresh, aux_weight).values)
+
+    def fresh():
+        """A masked batch with nothing derived or memoised yet."""
+        return MaskedBatch(sequences=masked.sequences, targets=masked.targets)
+
+    # Each op on fresh batches (the pairs are packed anew on every call), and
+    # on the one packed and masked batch that serve every parameter point.
+    on_fresh = {
+        "primary": lambda p: primary_loss(p, pairs),
+        "aux": lambda p: aux_loss(p, fresh()),
+        "total": lambda p: total_loss(p, pairs, fresh(), aux_weight),
+        "grad_primary": lambda p: grad_primary(p, pairs).values,
+        "grad_total": lambda p: grad_total(p, pairs, fresh(), aux_weight).values,
+    }
+    on_shared = {
+        "primary": lambda p: primary_loss(p, packed),
+        "aux": lambda p: aux_loss(p, masked),
+        "total": lambda p: total_loss(p, packed, masked, aux_weight),
+        "grad_primary": lambda p: grad_primary(p, packed).values,
+        "grad_total": lambda p: grad_total(p, packed, masked, aux_weight).values,
+    }
+    a, b = cfg.init_params(rng), cfg.init_params(rng)
+    # Equal values in another object, over another vector.
+    a2 = ModelParams.from_flat(a.to_flat(), cfg.layout())
+    # The memo of each batch must never answer for another params object:
+    # loss at a, loss at b, then the gradients at a; gradients before losses;
+    # and a2 in between a's calls.
+    order = [(a, "primary"), (a, "total"), (b, "primary"), (b, "total"),
+             (a, "grad_primary"), (a, "grad_total"), (a, "aux"),
+             (b, "grad_total"), (b, "grad_primary"), (b, "aux"), (b, "total"),
+             (b, "primary"),
+             (a2, "total"), (a, "grad_total"), (a2, "grad_primary"), (a, "primary"),
+             (a2, "aux"), (a2, "grad_total"), (a, "aux")]
+    for params, op in order:
+        got, want = on_shared[op](params), on_fresh[op](params)
+        if op == "primary":
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        else:
+            assert same_bits(got, want), (op, params is a, params is b)
+
+
+def test_one_forward_pass_per_branch_and_step(monkeypatch):
+    """A gradient taken right after its loss reuses that loss's forward pass:
+    every inner or fine-tune step runs one forward pass per active branch,
+    and the query side of an episode one."""
+    rng = np.random.default_rng(5)
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    psi = cfg.init_params(rng)
+    ep = Episode(support=random_pairs(rng, cfg, 3), query=random_pairs(rng, cfg, 4),
+                 label_map=(0, 1, 2))
+    calls = []
+    forward = model._forward
+    monkeypatch.setattr(model, "_forward", lambda *args: calls.append(1) or forward(*args))
+
+    def forwards(fn, *args, **kw):
+        calls.clear()
+        fn(*args, **kw)
+        return len(calls)
+
+    steps = 3
+    # (aux weight, forward passes per step): the masked-token branch is off
+    # at 0 and the classification branch at 1.
+    for aux_weight, branches in ((0.0, 1), (0.3, 2), (1.0, 1)):
+        assert forwards(inner_adapt, psi, ep, 0.3, steps, aux_weight, rng) == steps * branches
+        assert forwards(fine_tune, psi, ep.support, steps, True, 0.3, aux_weight,
+                        rng) == steps * branches
+        meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight)
+        assert forwards(evaluate_episode, psi, ep, meta_cfg, rng) == steps * branches + 1
+    assert forwards(fine_tune, psi, ep.support, steps, False, 0.3, 0.3, rng) == steps
 
 
 @SETTINGS
