@@ -107,13 +107,8 @@ def _cmd_export_embeddings(args) -> int:
                          f"vocabulary under this config has {corpus.vocab_size} tokens")
     episode = sample_episode(corpus, split, args.part, config.n_way, config.k_shot,
                              config.query_per_class, np.random.default_rng([args.episode_seed, 0]))
-    count = export_embeddings(
-        psi, episode, args.out, corpus,
-        fine_tune_steps=config.effective_fine_tune_steps(),
-        use_mtp=config.effective_use_mtp_test(),
-        inner_lr=config.inner_lr, aux_weight=config.aux_weight,
-        rng=np.random.default_rng([args.episode_seed, 1]),
-        mask_prob=config.mask_prob, mask_strategy=tuple(config.mask_strategy))
+    count = export_embeddings(psi, episode, args.out, corpus, config,
+                              np.random.default_rng([args.episode_seed, 1]))
     print(f"wrote {count} rows to {args.out}")
     return 0
 

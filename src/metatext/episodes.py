@@ -65,10 +65,6 @@ class Corpus:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
-
     def class_id(self, name: str) -> int:
         try:
             return self.class_names.index(name)

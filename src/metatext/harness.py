@@ -108,6 +108,9 @@ class ExperimentConfig:
             raise ConfigError("min_freq must be non-negative")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        repeated = [s for s in self.seeds if list(self.seeds).count(s) > 1]
+        if repeated:
+            raise ConfigError(f"seeds must be distinct; seed {repeated[0]} is repeated")
         if self.fine_tune_steps is not None and self.fine_tune_steps < 0:
             raise ConfigError("fine_tune_steps must be non-negative")
         try:
@@ -142,9 +145,11 @@ class ExperimentConfig:
     def effective_fine_tune_steps(self) -> int:
         return self.inner_steps if self.fine_tune_steps is None else self.fine_tune_steps
 
-    def effective_use_mtp_test(self) -> bool:
-        # Baselines carry no masked-token head usage at all.
-        return self.use_mtp_test and self.method in AMGS_FAMILY
+    def fine_tune_args(self) -> tuple[int, bool, MetaConfig]:
+        """How evaluation fine-tunes: (steps, use_mtp, MetaConfig) for fine_tune
+        and meta_test. Baselines carry no masked-token head usage at all."""
+        return (self.effective_fine_tune_steps(),
+                self.use_mtp_test and self.method in AMGS_FAMILY, self.meta_config())
 
     def meta_config(self) -> MetaConfig:
         return replace(MetaConfig(
@@ -226,13 +231,10 @@ def _sample_episodes(corpus, split, part, config, n_episodes, rng) -> list:
 
 def _evaluate(psi: ModelParams, eps: list, config: ExperimentConfig,
               rng_adapt: np.random.Generator) -> tuple[float, list]:
+    args = config.fine_tune_args()
     accs = []
     for ep in eps:
-        acc, _ = meta_test(psi, ep, config.effective_fine_tune_steps(),
-                           config.effective_use_mtp_test(), config.inner_lr,
-                           config.aux_weight, rng_adapt,
-                           mask_prob=config.mask_prob,
-                           mask_strategy=tuple(config.mask_strategy))
+        acc, _ = meta_test(psi, ep, *args, rng_adapt)
         accs.append(acc)
     return float(np.mean(accs)), accs
 
@@ -471,15 +473,13 @@ def write_split_file(path, class_names, n_train: int, n_val: int, n_test: int) -
 # ---------------------------------------------------------------------------
 # embedding export
 
-def export_embeddings(psi: ModelParams, episode: Episode, path, corpus: Corpus, *,
-                      fine_tune_steps: int, use_mtp: bool, inner_lr: float,
-                      aux_weight: float, rng: np.random.Generator,
-                      mask_prob: float = 0.30, mask_strategy=(1.0, 0.0, 0.0)) -> int:
+def export_embeddings(psi: ModelParams, episode: Episode, path, corpus: Corpus,
+                      config: ExperimentConfig, rng: np.random.Generator) -> int:
     """Write one CSV row per query example: sentence representation after
-    test-time fine-tuning, local label, global class name. Values carry 17
-    significant digits so they round-trip. Returns the row count."""
-    theta = fine_tune(psi, episode.support, fine_tune_steps, use_mtp, inner_lr,
-                      aux_weight, rng, mask_prob=mask_prob, mask_strategy=mask_strategy)
+    test-time fine-tuning as the config's evaluation runs it, local label,
+    global class name. Values carry 17 significant digits so they round-trip.
+    Returns the row count."""
+    theta = fine_tune(psi, episode.support, *config.fine_tune_args(), rng)
     d_h = psi.d_h
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = [f"rep_{i}" for i in range(d_h)] + ["local_label", "class_name"]
@@ -494,14 +494,36 @@ def export_embeddings(psi: ModelParams, episode: Episode, path, corpus: Corpus, 
 
 
 # ---------------------------------------------------------------------------
-# gradient verification (user-facing; the test suite keeps its own oracle)
+# gradient verification by central differences; the oracle calls only the
+# loss it is given, never the analytic gradient code it checks
+
+def central_diff(loss_fn, params: ModelParams, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of loss_fn(params) over the flat vector."""
+    layout = params.layout()
+    flat = params.to_flat()
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        up, down = flat.copy(), flat.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (loss_fn(ModelParams.from_flat(up, layout))
+                   - loss_fn(ModelParams.from_flat(down, layout))) / (2 * step)
+    return grad
+
+
+def max_rel_err(analytic, numeric) -> float:
+    """Largest relative error, with the denominator floored at 1e-4 so tiny
+    entries compare in absolute terms: a central difference of an O(1)
+    float64 loss carries rounding noise near 1e-10, far below the floor."""
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
+    return float((np.abs(analytic - numeric) / scale).max())
+
 
 def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) -> dict:
     """Compare analytic gradients with central finite differences on random
     small instances. Returns max relative error per loss."""
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(vocab_size=10, d_emb=4, d_h=3, n_way=3)
-    layout = cfg.layout()
     worst = {"primary": 0.0, "aux": 0.0, "total": 0.0}
     for _ in range(n_instances):
         params = cfg.init_params(rng)
@@ -512,30 +534,13 @@ def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) ->
         masked = MaskedBatch.build([s for s, _ in batch], rng, mask_prob=0.5,
                                    vocab_size=cfg.vocab_size)
         aux_w = 0.3
-
-        def fd(loss_fn):
-            flat = params.to_flat()
-            num = np.zeros_like(flat)
-            for i in range(flat.size):
-                up, down = flat.copy(), flat.copy()
-                up[i] += step
-                down[i] -= step
-                num[i] = (loss_fn(ModelParams.from_flat(up, layout))
-                          - loss_fn(ModelParams.from_flat(down, layout))) / (2 * step)
-            return num
-
-        def rel_err(analytic, numeric):
-            # floor the denominator at the finite-difference noise scale
-            scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-            return float((np.abs(analytic - numeric) / scale).max())
-
         g = grad_primary(params, batch)
-        worst["primary"] = max(worst["primary"], rel_err(g.values, fd(
-            lambda p: primary_loss(p, batch)[0])))
+        worst["primary"] = max(worst["primary"], max_rel_err(g.values, central_diff(
+            lambda p: primary_loss(p, batch)[0], params, step)))
         g = grad_total(params, batch, masked, 1.0)
-        worst["aux"] = max(worst["aux"], rel_err(g.values, fd(
-            lambda p: total_loss(p, batch, masked, 1.0))))
+        worst["aux"] = max(worst["aux"], max_rel_err(g.values, central_diff(
+            lambda p: total_loss(p, batch, masked, 1.0), params, step)))
         g = grad_total(params, batch, masked, aux_w)
-        worst["total"] = max(worst["total"], rel_err(g.values, fd(
-            lambda p: total_loss(p, batch, masked, aux_w))))
+        worst["total"] = max(worst["total"], max_rel_err(g.values, central_diff(
+            lambda p: total_loss(p, batch, masked, aux_w), params, step)))
     return worst

@@ -14,6 +14,11 @@ FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are settings of the gated
 update. Besides the preset, the step functions set whether the cosine is taken
 and logged (meta_step only) and whether the query set joins the inner batch
 (reptile_step with reptile_use_query).
+
+One routine, _descend, runs the support-set descent of both the inner loop
+(inner_adapt) and test-time fine-tuning (fine_tune): it reads the rate and the
+masking settings from a MetaConfig and draws the mask once, only when the
+masked-token term is on.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .model import (
     ModelParams,
     NumericalError,
     PackedBatch,
-    ParamLayout,
     PRIMARY_BLOCKS,
     check_masking,
     grad_primary,
@@ -121,9 +125,7 @@ class MetaState:
     @classmethod
     def create(cls, psi: ModelParams, cfg: MetaConfig) -> "MetaState":
         cfg.validate()
-        size = psi.layout().size
-        dtype = psi.E.dtype
-        return cls(psi=psi, m=np.zeros(size, dtype=dtype), v=np.zeros(size, dtype=dtype),
+        return cls(psi=psi, m=np.zeros_like(psi.flat), v=np.zeros_like(psi.flat),
                    step_count=0, cfg=cfg)
 
 
@@ -179,16 +181,21 @@ class StepReport:
         }
 
 
-def _adapt_batch(flat: np.ndarray, layout: ParamLayout, batch, masked,
-                 inner_lr: float, steps: int, aux_weight: float):
-    """Plain gradient descent on the total loss from the flat vector, which is
-    only read; the batch is packed once and, like the masked batch, fixed
-    across steps. Returns (flat adapted params, first gradient, trace)."""
-    batch = PackedBatch.pack(batch)
+def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: MetaConfig,
+             rng: np.random.Generator, masked: MaskedBatch | None = None):
+    """Gradient descent from psi on the total loss over a support set at
+    cfg.inner_lr, with the batch packed once and the mask (drawn here under
+    cfg's settings when aux_weight > 0, unless passed in) fixed across steps.
+    Returns (adapted params, first gradient, loss trace, masked batch)."""
+    if aux_weight > 0.0 and masked is None:
+        masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
+                                   strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
+    batch = PackedBatch.pack(support)
+    layout = psi.layout()
+    params = psi
     first = None
     trace = []
     for s in range(1, steps + 1):
-        params = ModelParams.from_flat(flat, layout)
         loss = total_loss(params, batch, masked, aux_weight)
         if not np.isfinite(loss):
             raise InnerLoopError(f"non-finite inner loss at step {s}", step=s)
@@ -196,41 +203,28 @@ def _adapt_batch(flat: np.ndarray, layout: ParamLayout, batch, masked,
         g = grad_total(params, batch, masked, aux_weight)
         if first is None:
             first = g
-        flat = flat - inner_lr * g.values
-    return flat, first, trace
+        params = ModelParams.from_flat(params.flat - cfg.inner_lr * g.values, layout)
+    return params, first, trace, masked
 
 
-def inner_adapt(psi: ModelParams, episode, inner_lr: float, inner_steps: int,
-                aux_weight: float, rng: np.random.Generator, *,
-                mask_prob: float = 0.30, mask_strategy=(1.0, 0.0, 0.0),
-                support_direction: str = "accumulated",
-                masked: MaskedBatch | None = None,
-                psi_flat: np.ndarray | None = None) -> AdaptResult:
-    """Adapt psi to one episode's support set with inner_steps GD steps.
+def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Generator, *,
+                masked: MaskedBatch | None = None) -> AdaptResult:
+    """Adapt psi to one episode's support set with cfg.inner_steps GD steps.
 
-    When the auxiliary weight is positive, the masking pattern is drawn once
-    here (or passed in) and reused for every step. The support direction for
-    the gate is either the accumulated movement (psi - theta_hat)/inner_lr or
-    the first-step gradient, per support_direction. psi_flat, when given, is
-    psi.to_flat() taken once by the caller; it is only read.
+    The support direction for the gate is either the accumulated movement
+    (psi - theta_hat)/inner_lr or the first-step gradient, per
+    cfg.support_direction.
     """
-    if inner_steps < 1:
+    if cfg.inner_steps < 1:
         raise ValueError("inner_steps must be at least 1")
-    if aux_weight > 0.0 and masked is None:
-        masked = MaskedBatch.build([seq for seq, _ in episode.support], rng,
-                                   mask_prob=mask_prob, strategy=mask_strategy,
-                                   vocab_size=psi.vocab_size)
-    layout = psi.layout()
-    if psi_flat is None:
-        psi_flat = psi.to_flat()
-    flat, first, trace = _adapt_batch(psi_flat, layout, episode.support, masked,
-                                      inner_lr, inner_steps, aux_weight)
-    movement = (psi_flat - flat) / inner_lr if inner_lr != 0.0 else np.zeros_like(psi_flat)
-    accumulated = FlatGradient(movement, layout)
-    g_sup = first if support_direction == "first_step" else accumulated
-    return AdaptResult(theta_hat=ModelParams.from_flat(flat, layout),
-                       accumulated=accumulated, g_sup=g_sup, first_grad=first,
-                       loss_trace=trace, masked=masked)
+    theta_hat, first, trace, masked = _descend(psi, episode.support, cfg.inner_steps,
+                                               cfg.aux_weight, cfg, rng, masked)
+    movement = ((psi.flat - theta_hat.flat) / cfg.inner_lr if cfg.inner_lr != 0.0
+                else np.zeros_like(psi.flat))
+    accumulated = FlatGradient(movement, psi.layout())
+    g_sup = first if cfg.support_direction == "first_step" else accumulated
+    return AdaptResult(theta_hat=theta_hat, accumulated=accumulated, g_sup=g_sup,
+                       first_grad=first, loss_trace=trace, masked=masked)
 
 
 def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,
@@ -255,30 +249,27 @@ def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,
     return cos, cos >= threshold
 
 
-def _apply_update(state: MetaState, meta_grad: np.ndarray, flat: np.ndarray) -> MetaState:
-    """One optimizer step on the flat meta-parameters flat (state.psi.to_flat(),
-    which is only read); returns a new state."""
+def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
+    """One optimizer step on the flat meta-parameters; returns a new state."""
     if not np.all(np.isfinite(meta_grad)):
         raise NumericalError("meta-gradient contains non-finite entries")
     cfg = state.cfg
-    layout = state.psi.layout()
     t = state.step_count + 1
     if cfg.meta_optimizer == "sgd":
-        new_flat = flat - cfg.meta_lr * meta_grad
+        new_flat = state.psi.flat - cfg.meta_lr * meta_grad
         m, v = state.m.copy(), state.v.copy()
     else:
         m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * meta_grad
         v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * meta_grad ** 2
         m_hat = m / (1.0 - cfg.adam_beta1 ** t)
         v_hat = v / (1.0 - cfg.adam_beta2 ** t)
-        new_flat = flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return MetaState(psi=ModelParams.from_flat(new_flat, layout), m=m, v=v,
+        new_flat = state.psi.flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return MetaState(psi=ModelParams.from_flat(new_flat, state.psi.layout()), m=m, v=v,
                      step_count=t, cfg=cfg)
 
 
 def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
-                     rng: np.random.Generator, *, cosine: bool = True,
-                     psi_flat: np.ndarray | None = None) -> AdaptResult:
+                     rng: np.random.Generator, *, cosine: bool = True) -> AdaptResult:
     """Run one episode's inner loop, then take the query gradient at the
     adapted parameters where the update or the cosine uses it.
 
@@ -287,10 +278,7 @@ def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
     gradient, no cosine, and a closed gate, so it can only contribute its
     support term.
     """
-    res = inner_adapt(psi, episode, cfg.inner_lr, cfg.inner_steps,
-                      cfg.aux_weight, rng, mask_prob=cfg.mask_prob,
-                      mask_strategy=cfg.mask_strategy,
-                      support_direction=cfg.support_direction, psi_flat=psi_flat)
+    res = inner_adapt(psi, episode, cfg, rng)
     res.gate_open = False if cosine else None
     if episode.query and (cosine or cfg.query_mode != "never"):
         query = PackedBatch.pack(episode.query)
@@ -308,16 +296,15 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
     baseline preset of it): per episode, adapt on the support set (plus the
     query set with query_in_inner) and add the support term and the query
     gradient cfg lets in; then one optimizer step. cosine takes and logs the
-    gate's cosine. psi is flattened once here and handed down."""
+    gate's cosine."""
     if not episode_batch:
         raise ValueError("episode batch is empty")
-    psi_flat = state.psi.to_flat()
-    meta_grad = np.zeros_like(psi_flat)
+    meta_grad = np.zeros_like(state.psi.flat)
     rows = []  # one per episode, in StepReport field order
     for ep in episode_batch:
         if query_in_inner:
             ep = replace(ep, support=list(ep.support) + list(ep.query))
-        res = evaluate_episode(state.psi, ep, cfg, rng, cosine=cosine, psi_flat=psi_flat)
+        res = evaluate_episode(state.psi, ep, cfg, rng, cosine=cosine)
         if cfg.include_support:
             term = res.first_grad if cfg.support_term == "first_step" else res.accumulated
             meta_grad += term.values
@@ -331,7 +318,7 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
                      res.g_sup.norm(PRIMARY_BLOCKS) if cosine else None,
                      res.g_qry.norm(PRIMARY_BLOCKS) if res.g_qry is not None else None,
                      res.masked.num_targets if res.masked is not None else 0))
-    new_state = _apply_update(state, meta_grad, psi_flat)
+    new_state = _apply_update(state, meta_grad)
     return new_state, StepReport(new_state.step_count, *map(list, zip(*rows)),
                                  meta_grad_norm=float(np.linalg.norm(meta_grad)))
 
@@ -372,41 +359,27 @@ def reptile_step(state: MetaState, episode_batch, rng: np.random.Generator
                  cosine=False, query_in_inner=state.cfg.reptile_use_query)
 
 
-def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool,
-              inner_lr: float, aux_weight: float, rng: np.random.Generator, *,
-              mask_prob: float = 0.30, mask_strategy=(1.0, 0.0, 0.0)) -> ModelParams:
-    """Gradient-descend a copy of psi on a support set; psi is never mutated.
-
-    With use_mtp the objective keeps the masked-token term (one mask draw,
-    fixed across steps); otherwise it is plain classification.
-    """
+def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool, cfg: MetaConfig,
+              rng: np.random.Generator) -> ModelParams:
+    """Gradient-descend from psi on a support set; psi is never mutated and,
+    with no steps, returned as it is. With use_mtp the objective keeps the
+    masked-token term at cfg.aux_weight; otherwise it is plain classification."""
     if steps < 0:
         raise ValueError("fine-tune steps must be non-negative")
     if steps == 0:
         return psi
-    effective_aux = aux_weight if use_mtp else 0.0
-    masked = None
-    if effective_aux > 0.0:
-        masked = MaskedBatch.build([seq for seq, _ in support], rng,
-                                   mask_prob=mask_prob, strategy=mask_strategy,
-                                   vocab_size=psi.vocab_size)
-    flat, _, _ = _adapt_batch(psi.to_flat(), psi.layout(), support, masked, inner_lr,
-                              steps, effective_aux)
-    return ModelParams.from_flat(flat, psi.layout())
+    return _descend(psi, support, steps, cfg.aux_weight if use_mtp else 0.0, cfg, rng)[0]
 
 
-def meta_test(psi: ModelParams, episode, fine_tune_steps: int, use_mtp: bool,
-              inner_lr: float, aux_weight: float, rng: np.random.Generator, *,
-              mask_prob: float = 0.30, mask_strategy=(1.0, 0.0, 0.0)
-              ) -> tuple[float, np.ndarray]:
-    """Fast adaptation on a test episode: fine-tune a copy of psi on the
-    support set, then classify the query set.
+def meta_test(psi: ModelParams, episode, steps: int, use_mtp: bool, cfg: MetaConfig,
+              rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """Fast adaptation on a test episode: fine-tune from psi on the support
+    set, then classify the query set.
 
     Returns (accuracy, predicted local labels); argmax ties resolve to the
     lowest label index.
     """
-    theta = fine_tune(psi, episode.support, fine_tune_steps, use_mtp, inner_lr,
-                      aux_weight, rng, mask_prob=mask_prob, mask_strategy=mask_strategy)
+    theta = fine_tune(psi, episode.support, steps, use_mtp, cfg, rng)
     _, logits = primary_loss(theta, episode.query)
     preds = logits.argmax(axis=1)
     labels = np.asarray([lbl for _, lbl in episode.query], dtype=np.int64)

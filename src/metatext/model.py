@@ -114,34 +114,31 @@ class ModelConfig:
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be 'float64' or 'float32'")
 
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
-
     def layout(self) -> ParamLayout:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
 
     def zeros(self) -> "ModelParams":
-        return ModelParams.from_flat(np.zeros(self.layout().size, dtype=self.np_dtype), self.layout())
+        return ModelParams.from_flat(np.zeros(self.layout().size, dtype=self.dtype), self.layout())
 
     def init_params(self, rng: np.random.Generator) -> "ModelParams":
         """Small random init; biases start at zero."""
-        dt = self.np_dtype
-        return ModelParams(
-            E=rng.normal(0.0, 0.1, (self.vocab_size, self.d_emb)).astype(dt),
-            W1=rng.normal(0.0, 1.0 / np.sqrt(2 * self.d_emb), (self.d_h, 2 * self.d_emb)).astype(dt),
-            b1=np.zeros(self.d_h, dtype=dt),
-            C=rng.normal(0.0, 1.0 / np.sqrt(self.d_h), (self.n_way, self.d_h)).astype(dt),
-            c0=np.zeros(self.n_way, dtype=dt),
-            P=rng.normal(0.0, 1.0 / np.sqrt(self.d_h), (self.vocab_size, self.d_h)).astype(dt),
-            p0=np.zeros(self.vocab_size, dtype=dt),
-        )
+        blocks = (rng.normal(0.0, 0.1, (self.vocab_size, self.d_emb)),
+                  rng.normal(0.0, 1.0 / np.sqrt(2 * self.d_emb), (self.d_h, 2 * self.d_emb)),
+                  np.zeros(self.d_h),
+                  rng.normal(0.0, 1.0 / np.sqrt(self.d_h), (self.n_way, self.d_h)),
+                  np.zeros(self.n_way),
+                  rng.normal(0.0, 1.0 / np.sqrt(self.d_h), (self.vocab_size, self.d_h)),
+                  np.zeros(self.vocab_size))
+        flat = np.concatenate([b.ravel() for b in blocks], dtype=self.dtype)
+        return ModelParams.from_flat(flat, self.layout())
 
 
 @dataclass
 class ModelParams:
-    """Partitioned parameter store. Treat instances as immutable; ops never
-    mutate, and batches memoise passes by the identity of the instance."""
+    """Partitioned parameter store: the seven blocks are reshaped views into
+    flat, and from_flat is the one way to build an instance. Treat instances
+    as immutable; ops never mutate, and batches memoise passes by the identity
+    of the instance."""
 
     E: np.ndarray
     W1: np.ndarray
@@ -150,6 +147,7 @@ class ModelParams:
     c0: np.ndarray
     P: np.ndarray
     p0: np.ndarray
+    flat: np.ndarray = field(repr=False)
 
     @property
     def vocab_size(self) -> int:
@@ -171,27 +169,25 @@ class ModelParams:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
 
     def validate(self) -> None:
-        for name, _, _, shape in self.layout().blocks:
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"block {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+        for name in BLOCK_NAMES:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"block {name} contains non-finite entries")
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name).ravel() for name in BLOCK_NAMES])
+        """A copy of the flat vector."""
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParams":
-        """Blocks as reshaped views into flat, not copies: the caller hands
-        over a vector that nothing writes afterwards."""
+        """Blocks as reshaped views into flat, which the instance keeps: the
+        caller hands over a vector that nothing writes afterwards."""
         if flat.shape != (layout.size,):
             raise ValueError(f"flat vector has length {flat.shape}, layout expects {layout.size}")
-        return cls(**{name: flat[offset : offset + length].reshape(shape)
-                      for name, offset, length, shape in layout.blocks})
+        return cls(flat=flat, **{name: flat[offset : offset + length].reshape(shape)
+                                 for name, offset, length, shape in layout.blocks})
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: getattr(self, name).copy() for name in BLOCK_NAMES})
+        return ModelParams.from_flat(self.flat.copy(), self.layout())
 
 
 @dataclass
@@ -634,7 +630,7 @@ def save_params(path, params: ModelParams, fmt: str = _PARAMS_FORMAT,
     header.update(header_fields)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for vec in (params.to_flat(), *(sections or {}).values()):
+        for vec in (params.flat, *(sections or {}).values()):
             fh.write(np.ascontiguousarray(vec, params.E.dtype.newbyteorder("<")).tobytes())
 
 

@@ -18,7 +18,9 @@ from metatext.episodes import Episode, load_corpus, make_splits, sample_episode
 from metatext.harness import (
     DEFAULT_GRIDS,
     ExperimentConfig,
+    central_diff,
     gen_synthetic,
+    max_rel_err,
     run_ablation,
     run_training,
     write_split_file,
@@ -47,7 +49,7 @@ from metatext.model import (
     total_loss,
 )
 
-from test_gradients import central_diff, max_rel_err, random_instance
+from test_gradients import random_instance
 
 
 def report(num, name, ok, detail=""):
@@ -164,11 +166,7 @@ def test_criterion_2_gate_soundness(bench, support_term):
         expected_grad = np.zeros_like(psi_flat_ref)
         closed_idx = []
         for i, ep in enumerate(eps):
-            adapt = inner_adapt(state.psi, ep, cfg.inner_lr, cfg.inner_steps,
-                                cfg.aux_weight, rng_oracle,
-                                mask_prob=cfg.mask_prob,
-                                mask_strategy=cfg.mask_strategy,
-                                support_direction=cfg.support_direction)
+            adapt = inner_adapt(state.psi, ep, cfg, rng_oracle)
             g_qry = grad_primary(adapt.theta_hat, ep.query)
             cos, gate_open = gate(adapt.g_sup, g_qry, cfg.gate_threshold)
             assert cos == rep.cos_values[i]
@@ -182,7 +180,7 @@ def test_criterion_2_gate_soundness(bench, support_term):
             else:
                 closed_idx.append(i)
                 n_closed += 1
-        expected_state = _apply_update(state, expected_grad, state.psi.to_flat())
+        expected_state = _apply_update(state, expected_grad)
         worst_assembly = max(worst_assembly, float(np.abs(
             new_state.psi.to_flat() - expected_state.psi.to_flat()).max()))
 
@@ -388,6 +386,7 @@ def test_criterion_9_separability(tmp_path_factory):
         split = make_splits(corpus, names[:30], names[30:35], names[35:45])
         return corpus, split
 
+    fine_tune_cfg = MetaConfig(inner_lr=1.0, aux_weight=1e-3)
     corpus0, split0 = build(0.0)
     model_cfg = ModelConfig(corpus0.vocab_size, 32, 32, 5)
     psi = model_cfg.init_params(np.random.default_rng([0, 0]))
@@ -395,7 +394,7 @@ def test_criterion_9_separability(tmp_path_factory):
     perfect = 0
     for _ in range(200):
         ep = sample_episode(corpus0, split0, "test", 5, 5, 5, rng_s)
-        acc, _ = meta_test(psi, ep, 20, True, 1.0, 1e-3, rng_a)
+        acc, _ = meta_test(psi, ep, 20, True, fine_tune_cfg, rng_a)
         perfect += acc == 1.0
 
     corpus1, split1 = build(1.0)
@@ -405,7 +404,7 @@ def test_criterion_9_separability(tmp_path_factory):
     accs = []
     for _ in range(200):
         ep = sample_episode(corpus1, split1, "test", 5, 1, 5, rng_s)
-        acc, _ = meta_test(psi1, ep, 20, True, 1.0, 1e-3, rng_a)
+        acc, _ = meta_test(psi1, ep, 20, True, fine_tune_cfg, rng_a)
         accs.append(acc)
     chance = float(np.mean(accs))
 

@@ -1,0 +1,52 @@
+"""Counted calls: one tiny run_training per method, under the benchmark's tracer
+(bench/spans.py), makes exactly the calls that bench/checks.py derives from
+its config. A change that routes around a counted function fails here as well
+as in the benchmark. The bench modules are imported, not copied."""
+
+import os
+import sys
+from dataclasses import replace
+
+import pytest
+
+from metatext.harness import (AMGS_FAMILY, METHODS, ExperimentConfig, gen_synthetic,
+                              run_training, write_split_file)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+from checks import eval_episodes, expected_calls, meta_steps  # noqa: E402
+from spans import Tracer  # noqa: E402
+from workloads import WORKLOADS, config_fields, make_inputs  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def base_config(tmp_path_factory):
+    """The sweep_k1 workload at the benchmark's self-test size."""
+    workload = WORKLOADS["sweep_k1"]
+    corpus_path, split_path = make_inputs(gen_synthetic, write_split_file, workload, 3,
+                                          str(tmp_path_factory.mktemp("calls")), tiny=True)
+    return ExperimentConfig(**config_fields(workload, "amgs", 5, corpus_path, split_path,
+                                            tiny=True))
+
+
+def traced_calls(config):
+    with Tracer() as tracer:
+        run = run_training(config)
+    return run, tracer.take().calls()
+
+
+@pytest.mark.parametrize("method, fine_tune_steps",
+                         [(m, 5) for m in METHODS] + [("amgs", 0)])
+def test_traced_calls_match_the_benchmark_contract(base_config, method, fine_tune_steps):
+    config = replace(base_config, method=method, fine_tune_steps=fine_tune_steps)
+    run, calls = traced_calls(config)
+    for name, want in expected_calls(config, run).items():
+        assert calls[name] == want, (name, calls[name], want)
+    episodes = sum(meta_steps(config, r) for r in run.seed_results) * config.meta_batch_size
+    evals = sum(eval_episodes(config, r) for r in run.seed_results)
+    assert calls["meta.inner_adapt"] == episodes
+    # One mask per training episode of the masked-token methods, and one per
+    # fine-tuned evaluation episode where the test objective keeps the term.
+    masks = episodes * (method in AMGS_FAMILY)
+    masks += evals * (fine_tune_steps > 0 and config.fine_tune_args()[1])
+    assert calls["model.MaskedBatch.build"] == masks

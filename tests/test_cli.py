@@ -64,6 +64,15 @@ def test_train_set_override_and_seed_append(workspace, capsys):
     assert summary.splitlines()[1].endswith("1;9")
 
 
+def test_train_rejects_repeated_seed(workspace, capsys):
+    rc = main(["train", "--config", str(workspace / "config.json"), "--seed", "1",
+               "--out", str(workspace / "run_repeated")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError" and "seed 1" in payload["message"]
+    assert not (workspace / "run_repeated").exists()
+
+
 def test_train_rejects_bad_set_value(workspace, capsys):
     rc = main(["train", "--config", str(workspace / "config.json"),
                "--set", "method=nope"])

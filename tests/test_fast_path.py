@@ -1,7 +1,8 @@
 """Oracles for the inner loop's fast path: packed and memoising batches
 against (sequence, label) pairs, one forward pass per branch and step,
-flat-buffer views against copied blocks, and psi left untouched by every step
-function that adapts from it."""
+flat-buffer views against copied blocks, test-time fine-tuning against the
+inner loop, and psi left untouched by every step function that adapts from
+it."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -111,12 +112,13 @@ def test_one_forward_pass_per_branch_and_step(monkeypatch):
     # (aux weight, forward passes per step): the masked-token branch is off
     # at 0 and the classification branch at 1.
     for aux_weight, branches in ((0.0, 1), (0.3, 2), (1.0, 1)):
-        assert forwards(inner_adapt, psi, ep, 0.3, steps, aux_weight, rng) == steps * branches
-        assert forwards(fine_tune, psi, ep.support, steps, True, 0.3, aux_weight,
-                        rng) == steps * branches
         meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight)
+        assert forwards(inner_adapt, psi, ep, meta_cfg, rng) == steps * branches
+        assert forwards(fine_tune, psi, ep.support, steps, True, meta_cfg,
+                        rng) == steps * branches
         assert forwards(evaluate_episode, psi, ep, meta_cfg, rng) == steps * branches + 1
-    assert forwards(fine_tune, psi, ep.support, steps, False, 0.3, 0.3, rng) == steps
+    assert forwards(fine_tune, psi, ep.support, steps, False, MetaConfig(inner_lr=0.3),
+                    rng) == steps
 
 
 @SETTINGS
@@ -127,14 +129,60 @@ def test_from_flat_blocks_are_views_equal_to_copies(cfg, seed):
     flat = np.random.default_rng(seed).normal(size=layout.size)
     params = ModelParams.from_flat(flat, layout)
     assert params.layout() is layout
+    assert params.flat is flat
     for name, offset, length, shape in layout.blocks:
         block = getattr(params, name)
-        assert np.shares_memory(block, flat)
+        assert np.shares_memory(block, params.flat)
         assert same_bits(block, flat[offset : offset + length].reshape(shape).copy())
         assert layout.block_slice(name) == slice(offset, offset + length)
     again = params.to_flat()
     assert not np.shares_memory(again, flat)
     assert same_bits(again, flat)
+    twin = params.copy()
+    assert not np.shares_memory(twin.flat, flat)
+    assert same_bits(twin.flat, flat)
+
+
+@SETTINGS
+@given(cfg=model_configs, seed=seeds)
+def test_built_params_view_their_flat_vector(cfg, seed):
+    """init_params, zeros and copy build through from_flat: every block is a
+    view into the instance's own flat vector, in layout order."""
+    params = cfg.init_params(np.random.default_rng(seed))
+    for built in (params, cfg.zeros(), params.copy()):
+        assert built.flat.shape == (cfg.layout().size,)
+        for name, offset, length, shape in cfg.layout().blocks:
+            block = getattr(built, name)
+            assert np.shares_memory(block, built.flat) and block.shape == shape
+            assert same_bits(block.ravel(), built.flat[offset : offset + length])
+
+
+@SETTINGS
+@given(seed=seeds, steps=st.integers(1, 4), aux_weight=st.sampled_from([0.0, 0.3, 1.0]))
+def test_fine_tune_is_the_inner_loop(seed, steps, aux_weight):
+    """Test-time fine-tuning with the masked-token term runs the inner loop:
+    bitwise the same adapted parameters, and the same draws from the RNG."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    psi = cfg.init_params(rng)
+    ep = Episode(support=random_pairs(rng, cfg, 3), query=[], label_map=(0, 1, 2))
+    meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight,
+                          mask_prob=0.5, mask_strategy=(0.8, 0.1, 0.1))
+    rng_inner, rng_fine = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    theta_hat = inner_adapt(psi, ep, meta_cfg, rng_inner).theta_hat
+    theta = fine_tune(psi, ep.support, steps, True, meta_cfg, rng_fine)
+    assert same_bits(theta.flat, theta_hat.flat)
+    assert rng_fine.bit_generator.state == rng_inner.bit_generator.state
+
+
+def test_fine_tune_without_steps_draws_nothing():
+    rng = np.random.default_rng(3)
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    psi = cfg.init_params(rng)
+    support = random_pairs(rng, cfg, 3)
+    state = rng.bit_generator.state
+    assert fine_tune(psi, support, 0, True, MetaConfig(aux_weight=0.5), rng) is psi
+    assert rng.bit_generator.state == state
 
 
 @SETTINGS
@@ -149,8 +197,8 @@ def test_step_functions_leave_psi_unchanged(seed, steps, aux_weight):
                         label_map=(0, 1, 2)) for _ in range(2)]
     meta_cfg = MetaConfig(inner_lr=0.3, meta_lr=0.05, inner_steps=steps,
                           aux_weight=aux_weight, reptile_use_query=True)
-    inner_adapt(psi, episodes[0], 0.3, steps, aux_weight, rng)
-    fine_tune(psi, episodes[0].support, steps, True, 0.3, aux_weight, rng)
+    inner_adapt(psi, episodes[0], meta_cfg, rng)
+    fine_tune(psi, episodes[0].support, steps, True, meta_cfg, rng)
     for step_fn in (meta_step, fomaml_step, reptile_step):
         step_fn(MetaState.create(psi, meta_cfg), episodes, rng)
     assert same_bits(backing, before)

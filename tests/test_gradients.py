@@ -1,19 +1,22 @@
 """Finite-difference verification of every analytic gradient.
 
-The oracle here is a test-local central-difference routine; it never calls the
-analytic gradient code it is checking.
+The oracle is harness.central_diff, the one check_gradients uses; it calls
+only the loss it is given, never the analytic gradient code it is checking.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from metatext import harness
+from metatext.harness import central_diff, max_rel_err
 from metatext.model import (
     CLASSIFIER_BLOCKS,
     PREDICTOR_BLOCKS,
     PRIMARY_BLOCKS,
     MaskedBatch,
     ModelConfig,
-    ModelParams,
     NumericalError,
     aux_loss,
     grad_primary,
@@ -22,31 +25,9 @@ from metatext.model import (
     total_loss,
 )
 
-FD_STEP = 1e-6
 FD_TOL = 1e-5
-# Central differences on an O(1) loss carry ~1e-10 of float64 rounding noise,
-# so entries below this scale are compared in absolute terms (< 1e-9 here).
-FD_FLOOR = 1e-4
 
 GRAD_CFG = ModelConfig(vocab_size=10, d_emb=4, d_h=3, n_way=3)
-
-
-def central_diff(loss_fn, params, step=FD_STEP):
-    layout = params.layout()
-    flat = params.to_flat()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        up, down = flat.copy(), flat.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (loss_fn(ModelParams.from_flat(up, layout))
-                   - loss_fn(ModelParams.from_flat(down, layout))) / (2 * step)
-    return grad
-
-
-def max_rel_err(analytic, numeric):
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), FD_FLOOR)
-    return float((np.abs(analytic - numeric) / scale).max())
 
 
 def random_instance(seed):
@@ -58,6 +39,25 @@ def random_instance(seed):
                                vocab_size=GRAD_CFG.vocab_size)
     assert masked.num_targets > 0
     return params, batch, masked
+
+
+def test_oracle_never_calls_gradient_code(monkeypatch):
+    params, batch, masked = random_instance(7)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the finite-difference oracle ran analytic gradient code")
+
+    # Every metatext module that holds a gradient function under its own name,
+    # the harness that hosts the oracle included.
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "metatext"]
+    for name in ("grad_primary", "grad_total", "_grad_primary_raw", "_grad_aux_raw",
+                 "_backprop_encoder"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert harness.grad_total is forbidden and harness.grad_primary is forbidden
+    fd = central_diff(lambda p: total_loss(p, batch, masked, 0.3), params)
+    assert fd.shape == (params.layout().size,) and np.all(np.isfinite(fd))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -68,6 +68,20 @@ def test_config_validation_catches_bad_fields(synth):
         tiny_config(synth, inner_steps=0).validate()
 
 
+def test_config_rejects_repeated_seeds(synth, tmp_path):
+    # A repeated seed would train twice, write one checkpoint and count twice
+    # in the mean.
+    with pytest.raises(ConfigError, match="seed 2 is repeated"):
+        tiny_config(synth, seeds=(1, 2, 3, 2)).validate()
+    data = tiny_config(synth).to_dict()
+    data["seeds"] = [2, 2]
+    with pytest.raises(ConfigError, match="seed 2"):
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(ConfigError, match="seed 2"):
+        run_training(tiny_config(synth, seeds=[2, 2]), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"methodx": "amgs"})
@@ -294,9 +308,8 @@ def test_export_embeddings_row_count_and_round_trip(synth, tmp_path):
     psi = model_cfg.init_params(np.random.default_rng(0))
     ep = sample_episode(corpus, split, "test", 3, 1, 2, np.random.default_rng(1))
     path = tmp_path / "emb.csv"
-    count = export_embeddings(psi, ep, path, corpus, fine_tune_steps=3,
-                              use_mtp=True, inner_lr=0.5, aux_weight=1e-3,
-                              rng=np.random.default_rng(2))
+    count = export_embeddings(psi, ep, path, corpus, tiny_config(synth, fine_tune_steps=3),
+                              np.random.default_rng(2))
     assert count == 3 * 2  # n_way * query_per_class
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["rep_0", "rep_1"]
@@ -320,9 +333,8 @@ def test_export_embeddings_ten_way_five_shot_shape(synth, tmp_path):
     psi = model_cfg.init_params(np.random.default_rng(0))
     ep = sample_episode(corpus, split, "test", 10, 5, 5, np.random.default_rng(4))
     path = tmp_path / "emb10.csv"
-    count = export_embeddings(psi, ep, path, corpus, fine_tune_steps=2,
-                              use_mtp=True, inner_lr=0.5, aux_weight=1e-3,
-                              rng=np.random.default_rng(5))
+    count = export_embeddings(psi, ep, path, corpus, tiny_config(synth, fine_tune_steps=2),
+                              np.random.default_rng(5))
     assert count == 10 * 5
     assert len(path.read_text().splitlines()) == 1 + 50
 
@@ -334,8 +346,8 @@ def test_export_embeddings_zero_params_identical_rows(synth, tmp_path):
     psi = model_cfg.zeros()
     ep = sample_episode(corpus, split, "test", 3, 1, 2, np.random.default_rng(1))
     path = tmp_path / "emb.csv"
-    export_embeddings(psi, ep, path, corpus, fine_tune_steps=0, use_mtp=False,
-                      inner_lr=0.5, aux_weight=0.0, rng=np.random.default_rng(2))
+    export_cfg = tiny_config(synth, fine_tune_steps=0, use_mtp_test=False, aux_weight=0.0)
+    export_embeddings(psi, ep, path, corpus, export_cfg, np.random.default_rng(2))
     reps = {line.rsplit(",", 2)[0] for line in path.read_text().splitlines()[1:]}
     assert len(reps) == 1
 

@@ -46,6 +46,11 @@ def setup():
     return cfg, psi, ep, rng
 
 
+def adapt_config(inner_lr, inner_steps, aux_weight, **kw):
+    """The MetaConfig fields the inner loop and fine-tuning read."""
+    return MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps, aux_weight=aux_weight, **kw)
+
+
 def sgd_config(**kw):
     base = dict(inner_lr=0.1, meta_lr=0.05, inner_steps=2, aux_weight=1e-3,
                 meta_optimizer="sgd")
@@ -59,7 +64,7 @@ def sgd_config(**kw):
 
 def test_inner_adapt_single_step_exact(setup):
     _, psi, ep, _ = setup
-    res = inner_adapt(psi, ep, 0.1, 1, 0.0, np.random.default_rng(0))
+    res = inner_adapt(psi, ep, adapt_config(0.1, 1, 0.0), np.random.default_rng(0))
     expected = psi.to_flat() - 0.1 * grad_total(psi, ep.support, None, 0.0).values
     assert np.array_equal(res.theta_hat.to_flat(), expected)
     assert len(res.loss_trace) == 1
@@ -67,7 +72,7 @@ def test_inner_adapt_single_step_exact(setup):
 
 def test_inner_adapt_zero_rate_is_null_update(setup):
     _, psi, ep, _ = setup
-    res = inner_adapt(psi, ep, 0.0, 4, 0.0, np.random.default_rng(0))
+    res = inner_adapt(psi, ep, adapt_config(0.0, 4, 0.0), np.random.default_rng(0))
     assert np.array_equal(res.theta_hat.to_flat(), psi.to_flat())
     assert len(set(res.loss_trace)) == 1
     assert np.all(res.g_sup.values == 0.0)
@@ -78,7 +83,8 @@ def test_inner_adapt_matches_independent_loop(setup):
     _, psi, ep, _ = setup
     rng = np.random.default_rng(3)
     masked = MaskedBatch.build([s for s, _ in ep.support], rng, vocab_size=12)
-    res = inner_adapt(psi, ep, 0.2, 5, 1e-3, np.random.default_rng(99), masked=masked)
+    res = inner_adapt(psi, ep, adapt_config(0.2, 5, 1e-3), np.random.default_rng(99),
+                      masked=masked)
 
     flat = psi.to_flat()
     layout = psi.layout()
@@ -92,8 +98,8 @@ def test_inner_adapt_matches_independent_loop(setup):
 
 def test_inner_adapt_first_step_direction(setup):
     _, psi, ep, _ = setup
-    res = inner_adapt(psi, ep, 0.1, 3, 0.0, np.random.default_rng(0),
-                      support_direction="first_step")
+    res = inner_adapt(psi, ep, adapt_config(0.1, 3, 0.0, support_direction="first_step"),
+                      np.random.default_rng(0))
     g0 = grad_total(psi, ep.support, None, 0.0)
     assert np.array_equal(res.g_sup.values, g0.values)
     assert np.array_equal(res.first_grad.values, g0.values)
@@ -101,8 +107,8 @@ def test_inner_adapt_first_step_direction(setup):
 
 def test_inner_adapt_mask_drawn_once_and_reproducible(setup):
     _, psi, ep, _ = setup
-    r1 = inner_adapt(psi, ep, 0.1, 3, 0.5, np.random.default_rng(42))
-    r2 = inner_adapt(psi, ep, 0.1, 3, 0.5, np.random.default_rng(42))
+    r1 = inner_adapt(psi, ep, adapt_config(0.1, 3, 0.5), np.random.default_rng(42))
+    r2 = inner_adapt(psi, ep, adapt_config(0.1, 3, 0.5), np.random.default_rng(42))
     assert r1.masked.targets == r2.masked.targets
     assert np.array_equal(r1.theta_hat.to_flat(), r2.theta_hat.to_flat())
     # trace decreases only if the fixed mask is reused; mostly a smoke check
@@ -114,14 +120,14 @@ def test_inner_adapt_divergence_carries_step_index(setup):
     psi = psi.copy()
     psi.E[3, 0] = np.nan
     with pytest.raises(InnerLoopError) as err:
-        inner_adapt(psi, ep, 0.1, 3, 0.0, np.random.default_rng(0))
+        inner_adapt(psi, ep, adapt_config(0.1, 3, 0.0), np.random.default_rng(0))
     assert err.value.step == 1
 
 
 def test_inner_adapt_blowup_reports_later_step(setup):
     _, psi, ep, _ = setup
     with np.errstate(all="ignore"), pytest.raises(InnerLoopError) as err:
-        inner_adapt(psi, ep, 1e308, 4, 0.0, np.random.default_rng(0))
+        inner_adapt(psi, ep, adapt_config(1e308, 4, 0.0), np.random.default_rng(0))
     assert err.value.step >= 2
 
 
@@ -237,7 +243,7 @@ def test_meta_step_open_gate_matches_hand_assembly(setup):
     new, rep = meta_step(state, [ep], np.random.default_rng(6))
     assert rep.query_used == [True]
 
-    adapt = inner_adapt(psi, ep, 0.1, 2, 1e-3, np.random.default_rng(6))
+    adapt = inner_adapt(psi, ep, adapt_config(0.1, 2, 1e-3), np.random.default_rng(6))
     g_qry = grad_primary(adapt.theta_hat, ep.query)
     expected = psi.to_flat() - 0.05 * (adapt.first_grad.values + g_qry.values)
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
@@ -265,7 +271,7 @@ def test_meta_step_accumulated_support_term(setup):
     state = MetaState.create(psi, sgd_config(support_term="accumulated",
                                              query_mode="never"))
     new, _ = meta_step(state, [ep], np.random.default_rng(8))
-    adapt = inner_adapt(psi, ep, 0.1, 2, 1e-3, np.random.default_rng(8))
+    adapt = inner_adapt(psi, ep, adapt_config(0.1, 2, 1e-3), np.random.default_rng(8))
     expected = psi.to_flat() - 0.05 * (psi.to_flat() - adapt.theta_hat.to_flat()) / 0.1
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
 
@@ -471,7 +477,7 @@ def test_meta_test_zero_params_no_finetune_gives_chance(setup):
     accs = []
     for _ in range(200):
         ep = random_episode(rng, n_way=3, k_shot=1, q=4)
-        acc, preds = meta_test(zero, ep, 0, True, 0.1, 1e-3, rng)
+        acc, preds = meta_test(zero, ep, 0, True, adapt_config(0.1, 1, 1e-3), rng)
         assert np.all(preds == 0)  # uniform logits, argmax tie -> label 0
         accs.append(acc)
     assert abs(np.mean(accs) - 1 / 3) < 0.05
@@ -484,14 +490,15 @@ def test_meta_test_solves_separable_episode():
     query = [(np.array([4, 3, 4]), 0), (np.array([3, 3, 4]), 0),
              (np.array([6, 5, 6]), 1), (np.array([5, 5, 5]), 1)]
     ep = Episode(support=support, query=query, label_map=(0, 1))
-    acc, _ = meta_test(psi, ep, 20, False, 0.5, 0.0, np.random.default_rng(1))
+    acc, _ = meta_test(psi, ep, 20, False, adapt_config(0.5, 1, 0.0), np.random.default_rng(1))
     assert acc == 1.0
 
 
 def test_meta_test_mtp_toggle_is_noop_at_zero_weight(setup):
     _, psi, ep, _ = setup
-    acc_on, preds_on = meta_test(psi, ep, 5, True, 0.1, 0.0, np.random.default_rng(2))
-    acc_off, preds_off = meta_test(psi, ep, 5, False, 0.1, 0.0, np.random.default_rng(2))
+    cfg = adapt_config(0.1, 1, 0.0)
+    acc_on, preds_on = meta_test(psi, ep, 5, True, cfg, np.random.default_rng(2))
+    acc_off, preds_off = meta_test(psi, ep, 5, False, cfg, np.random.default_rng(2))
     assert acc_on == acc_off
     assert np.array_equal(preds_on, preds_off)
 
@@ -499,13 +506,13 @@ def test_meta_test_mtp_toggle_is_noop_at_zero_weight(setup):
 def test_meta_test_never_mutates_psi(setup):
     _, psi, ep, _ = setup
     before = psi.to_flat()
-    meta_test(psi, ep, 5, True, 0.3, 0.5, np.random.default_rng(3))
+    meta_test(psi, ep, 5, True, adapt_config(0.3, 1, 0.5), np.random.default_rng(3))
     assert np.array_equal(psi.to_flat(), before)
 
 
 def test_fine_tune_zero_steps_returns_psi(setup):
     _, psi, ep, _ = setup
-    assert fine_tune(psi, ep.support, 0, True, 0.1, 0.5,
+    assert fine_tune(psi, ep.support, 0, True, adapt_config(0.1, 1, 0.5),
                      np.random.default_rng(0)) is psi
 
 
@@ -520,7 +527,7 @@ def test_adam_constant_gradient_update_magnitude_approaches_rate(setup):
     g[::3] = -2.0
     for _ in range(50):
         prev = state.psi.to_flat()
-        state = _apply_update(state, g, state.psi.to_flat())
+        state = _apply_update(state, g)
         step = np.abs(state.psi.to_flat() - prev)
     assert np.abs(step - 0.05).max() < 1e-6
 
@@ -529,7 +536,7 @@ def test_sgd_mode_is_plain_descent(setup):
     _, psi, _, _ = setup
     state = MetaState.create(psi, sgd_config())
     g = np.full(psi.layout().size, 0.25)
-    new = _apply_update(state, g, psi.to_flat())
+    new = _apply_update(state, g)
     assert np.array_equal(new.psi.to_flat(), psi.to_flat() - 0.05 * g)
     assert np.all(new.m == 0.0) and np.all(new.v == 0.0)
 
@@ -540,7 +547,7 @@ def test_apply_update_rejects_nonfinite(setup):
     g = np.zeros(psi.layout().size)
     g[0] = np.nan
     with pytest.raises(NumericalError):
-        _apply_update(state, g, psi.to_flat())
+        _apply_update(state, g)
 
 
 # ---------------------------------------------------------------------------
