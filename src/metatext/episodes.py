@@ -44,7 +44,8 @@ class Corpus:
     documents holds (token-id sequence, global class id) pairs. Raw documents
     never contain PAD or MASK ids: real tokens start at FIRST_REAL_ID and rare
     tokens map to UNK. empty_docs lists indices of documents whose text
-    tokenized to nothing; they are kept so corpus statistics stay faithful.
+    tokenized to nothing; they are kept so corpus statistics stay faithful,
+    but episodes never draw them.
     """
 
     documents: list
@@ -56,8 +57,9 @@ class Corpus:
     def __post_init__(self):
         if not self._docs_by_class:
             by_class: dict[int, list[int]] = {}
-            for i, (_, cid) in enumerate(self.documents):
-                by_class.setdefault(cid, []).append(i)
+            for i, (ids, cid) in enumerate(self.documents):
+                if len(ids):
+                    by_class.setdefault(cid, []).append(i)
             self._docs_by_class = {cid: np.asarray(ids, dtype=np.int64)
                                    for cid, ids in by_class.items()}
 
@@ -72,6 +74,7 @@ class Corpus:
             raise SplitError(f"unknown class name {name!r}") from None
 
     def docs_of_class(self, class_id: int) -> np.ndarray:
+        """Indices of the class's non-empty documents, the ones episodes draw."""
         return self._docs_by_class.get(class_id, np.empty(0, dtype=np.int64))
 
 
@@ -225,7 +228,7 @@ def sample_episode(corpus: Corpus, split: ClassSplit, part: str, n_way: int,
         doc_ids = corpus.docs_of_class(cid)
         if doc_ids.size < need:
             raise SamplingError(
-                f"class {corpus.class_names[cid]!r} has {doc_ids.size} documents, "
+                f"class {corpus.class_names[cid]!r} has {doc_ids.size} non-empty documents, "
                 f"need {need} (k_shot + query_per_class)")
         picked = rng.choice(doc_ids, size=need, replace=False)
         for j, doc_id in enumerate(int(d) for d in picked):

@@ -23,6 +23,7 @@ masked-token term is on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,17 +132,20 @@ class MetaState:
 
 @dataclass
 class AdaptResult:
-    """One episode's inner loop and, after evaluate_episode, its query side.
+    """One episode's inner loop from psi under cfg and, after
+    evaluate_episode, its query side.
 
     accumulated is the movement (psi - theta_hat)/inner_lr (zero at a zero
-    rate); g_sup, which the cosine compares against, is it or first_grad.
-    Query fields stay None where no query gradient was taken; the
-    predictor-head blocks of g_qry are exactly zero whenever it exists.
+    rate), computed on first read: FOMAML reads neither it nor g_sup. g_sup,
+    which the cosine compares against, is it or first_grad, per
+    cfg.support_direction. Query fields stay None where no query gradient was
+    taken; the predictor-head blocks of g_qry are exactly zero whenever it
+    exists.
     """
 
+    psi: ModelParams
+    cfg: MetaConfig
     theta_hat: ModelParams
-    accumulated: FlatGradient
-    g_sup: FlatGradient
     first_grad: FlatGradient  # gradient of the total loss at the start point
     loss_trace: list
     masked: MaskedBatch | None
@@ -149,6 +153,19 @@ class AdaptResult:
     query_loss: float | None = None
     cos_value: float | None = None
     gate_open: bool | None = None
+
+    @functools.cached_property
+    def accumulated(self) -> FlatGradient:
+        lr = self.cfg.inner_lr
+        movement = ((self.psi.flat - self.theta_hat.flat) / lr if lr != 0.0
+                    else np.zeros_like(self.psi.flat))
+        return FlatGradient(movement, self.psi.layout())
+
+    @property
+    def g_sup(self) -> FlatGradient:
+        if self.cfg.support_direction == "first_step":
+            return self.first_grad
+        return self.accumulated
 
 
 @dataclass
@@ -203,7 +220,10 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
         g = grad_total(params, batch, masked, aux_weight)
         if first is None:
             first = g
-        params = ModelParams.from_flat(params.flat - cfg.inner_lr * g.values, layout)
+        # params.flat - inner_lr * g in one new vector: the product is written
+        # into it and the difference taken in place.
+        flat = np.multiply(g.values, cfg.inner_lr)
+        params = ModelParams.from_flat(np.subtract(params.flat, flat, out=flat), layout)
     return params, first, trace, masked
 
 
@@ -219,12 +239,8 @@ def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Gener
         raise ValueError("inner_steps must be at least 1")
     theta_hat, first, trace, masked = _descend(psi, episode.support, cfg.inner_steps,
                                                cfg.aux_weight, cfg, rng, masked)
-    movement = ((psi.flat - theta_hat.flat) / cfg.inner_lr if cfg.inner_lr != 0.0
-                else np.zeros_like(psi.flat))
-    accumulated = FlatGradient(movement, psi.layout())
-    g_sup = first if cfg.support_direction == "first_step" else accumulated
-    return AdaptResult(theta_hat=theta_hat, accumulated=accumulated, g_sup=g_sup,
-                       first_grad=first, loss_trace=trace, masked=masked)
+    return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta_hat, first_grad=first,
+                       loss_trace=trace, masked=masked)
 
 
 def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,

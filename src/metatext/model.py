@@ -390,8 +390,10 @@ def _forward(params: ModelParams, tokens: np.ndarray, mask: np.ndarray) -> _Forw
     ctx = (emb * mask[..., None]).sum(axis=1) / counts[:, None]  # (B, De)
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
-    pre = emb @ w_tok.T + (ctx @ w_ctx.T)[:, None, :] + params.b1
-    hidden = np.tanh(pre)                                       # (B, L, Dh)
+    hidden = emb @ w_tok.T                                      # (B, L, Dh)
+    hidden += (ctx @ w_ctx.T)[:, None, :]
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
     rep = (hidden * mask[..., None]).sum(axis=1) / counts[:, None]
     return _Forward(tokens=tokens, mask=mask, counts=counts, emb=emb, ctx=ctx,
                     hidden=hidden, rep=rep)
@@ -425,13 +427,13 @@ def _labelled(params: ModelParams, batch) -> PackedBatch:
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. logits, numerically stable."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
+    logp = logits - logits.max(axis=1, keepdims=True)
+    dlogits = np.exp(logp)
+    logp -= np.log(dlogits.sum(axis=1, keepdims=True))
     n = logits.shape[0]
     idx = np.arange(n)
     loss = float(-logp[idx, labels].mean())
-    dlogits = np.exp(logp)
+    np.exp(logp, out=dlogits)
     dlogits[idx, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
@@ -456,7 +458,8 @@ def _aux_pass(params: ModelParams, masked: MaskedBatch):
         fw = _forward(params, *masked.packed)
         si, pos, orig = masked.target_arrays
         h_tgt = fw.hidden[si, pos]                      # (T, Dh)
-        logits = h_tgt @ params.P.T + params.p0          # (T, V)
+        logits = h_tgt @ params.P.T                      # (T, V)
+        logits += params.p0
         slot = masked.memo = (params, (fw, h_tgt, *_softmax_xent(logits, orig)))
     return slot[1]
 
@@ -512,7 +515,9 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
 
-    d_pre = d_hidden * (1.0 - fw.hidden ** 2)                    # (B, L, Dh)
+    d_pre = fw.hidden ** 2                                       # (B, L, Dh)
+    np.subtract(1.0, d_pre, out=d_pre)
+    d_pre *= d_hidden
     d_pre_sum = d_pre.sum(axis=1)                                # (B, Dh)
 
     dW_tok = np.einsum("bld,ble->de", d_pre, fw.emb)
@@ -523,12 +528,16 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
     d_emb_direct = d_pre @ w_tok                                 # (B, L, De)
     d_ctx = d_pre_sum @ w_ctx                                    # (B, De)
     # ctx is the masked mean of embeddings, so its gradient spreads uniformly
-    # over non-PAD positions.
-    d_emb_total = d_emb_direct + (d_ctx / fw.counts[:, None])[:, None, :] * fw.mask[..., None]
+    # over non-PAD positions; the scatter below reads only those rows.
+    d_emb_total = d_emb_direct + (d_ctx / fw.counts[:, None])[:, None, :]
 
-    dE = np.zeros_like(params.E)
-    np.add.at(dE, fw.tokens[fw.mask], d_emb_total[fw.mask])
-    return dE, dW1, db1
+    # One bincount over the flat index token * d_emb + column sums each entry
+    # of E in input order from 0.0, as np.add.at into zeros would; it sums in
+    # float64, and float32 parameters get the sums rounded once.
+    index = (fw.tokens[fw.mask] * d_emb)[:, None] + np.arange(d_emb)
+    dE = np.bincount(index.ravel(), weights=d_emb_total[fw.mask].ravel(),
+                     minlength=params.E.size).reshape(params.E.shape)
+    return dE.astype(params.E.dtype, copy=False), dW1, db1
 
 
 def _grad_primary_raw(params: ModelParams, batch):
@@ -551,17 +560,21 @@ def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
     dp0 = d_logits.sum(axis=0)
     d_h_tgt = d_logits @ params.P                                # (T, Dh)
     d_hidden = np.zeros_like(fw.hidden)
-    np.add.at(d_hidden, (si, pos), d_h_tgt)
+    # The (si, pos) targets are unique, so += adds each row once into 0.0.
+    d_hidden[si, pos] += d_h_tgt
     dE, dW1, db1 = _backprop_encoder(params, fw, d_hidden)
     return dE, dW1, db1, dP, dp0
 
 
 def _add_blocks(grad: FlatGradient, weight: float, names, arrays) -> None:
-    """Add weight * each block into the gradient's slice for it."""
+    """Add weight * each block into the gradient's slice for it. The blocks
+    are the fresh arrays a raw gradient helper returns, so each is scaled in
+    place; at weight 1.0 scaling would leave every bit as it is."""
     slices = grad.layout.slices
     for name, arr in zip(names, arrays):
-        view = grad.values[slices[name]]
-        view += weight * arr.ravel()
+        if weight != 1.0:
+            arr *= weight
+        grad.values[slices[name]] += arr.ravel()
 
 
 def _check_finite(grad: FlatGradient, op: str) -> FlatGradient:
@@ -597,12 +610,13 @@ def grad_total(params: ModelParams, support_batch, masked_support,
 
     # Blocks are added into the zero vector, not assigned: 0.0 + x turns a
     # -0.0 entry into +0.0, and the outputs depend on those bits.
+    # Each branch's blocks are let go before the next branch computes its own.
     if aux_weight < 1.0 or not aux_active:
-        blocks = _grad_primary_raw(params, support_batch)
-        _add_blocks(grad, 1.0 - aux_weight, PRIMARY_BLOCKS, blocks)
+        _add_blocks(grad, 1.0 - aux_weight, PRIMARY_BLOCKS,
+                    _grad_primary_raw(params, support_batch))
     if aux_active:
-        blocks = _grad_aux_raw(params, masked_support)
-        _add_blocks(grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS, blocks)
+        _add_blocks(grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS,
+                    _grad_aux_raw(params, masked_support))
     return _check_finite(grad, "grad_total")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from metatext.episodes import (
     ClassSplit,
+    Corpus,
     CorpusError,
     SamplingError,
     SplitError,
@@ -220,6 +221,23 @@ def test_sample_episode_insufficient_documents_names_class():
     split = _full_split(corpus)
     with pytest.raises(SamplingError, match="class"):
         sample_episode(corpus, split, "train", 3, 2, 2, np.random.default_rng(0))
+
+
+def test_sample_episode_never_draws_empty_documents():
+    corpus = build_corpus(num_classes=3, docs_per_class=3)
+    # The first document of every class tokenized to nothing.
+    for i in range(0, 9, 3):
+        corpus.documents[i] = (np.empty(0, dtype=np.int64), corpus.documents[i][1])
+    corpus = Corpus(documents=corpus.documents, vocab=corpus.vocab,
+                    class_names=corpus.class_names, empty_docs=(0, 3, 6))
+    split = _full_split(corpus)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        ep = sample_episode(corpus, split, "train", 3, 1, 1, rng)
+        assert all(seq.size > 0 for seq, _ in ep.support + ep.query)
+    # Three documents per class, two of them usable.
+    with pytest.raises(SamplingError, match="has 2 non-empty documents, need 3"):
+        sample_episode(corpus, split, "train", 3, 2, 1, rng)
 
 
 def test_train_test_episode_classes_disjoint():

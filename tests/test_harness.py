@@ -18,7 +18,7 @@ from metatext.harness import (
 )
 from metatext.model import ModelConfig
 
-from conftest import random_episode
+from conftest import random_episode, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,22 @@ def test_config_rejects_repeated_seeds(synth, tmp_path):
     with pytest.raises(ConfigError, match="seed 2"):
         run_training(tiny_config(synth, seeds=[2, 2]), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_training_skips_empty_documents(tmp_path):
+    rows = [{"text": f"w{c} x{c}{j} y{j}", "label": f"c{c}"}
+            for c in range(9) for j in range(3)]
+    rows.append({"text": "", "label": "c0"})
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", rows)
+    split_path = tmp_path / "split.json"
+    write_split_file(split_path, [f"c{c}" for c in range(9)], 3, 3, 3)
+    assert load_corpus(corpus_path, max_len=8).empty_docs == (27,)
+    # Every episode draws 3 of class c0's 4 documents.
+    run = run_training(tiny_config({"corpus": str(corpus_path), "split": str(split_path)},
+                                   query_per_class=2, max_epochs=1, patience=1,
+                                   episodes_per_epoch_train=2, episodes_per_epoch_val=2,
+                                   test_episodes=2))
+    assert run.seed_results[0].epochs_run == 1
 
 
 def test_config_from_dict_rejects_unknown_keys():
