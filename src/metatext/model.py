@@ -87,14 +87,21 @@ class ParamLayout:
             raise KeyError(f"unknown parameter block {name!r}") from None
 
     def subset(self, values: np.ndarray, names) -> np.ndarray:
-        """Concatenate the given blocks of a flat vector, in layout order."""
+        """The given blocks of a flat vector, in layout order: a view when they
+        are adjacent in the layout (PRIMARY_BLOCKS are its prefix), else a
+        concatenated copy. A view is marked read-only, so that writing to it
+        cannot change the vector it views."""
         wanted = set(names)
-        parts = [
-            values[offset : offset + length]
-            for name, offset, length, _ in self.blocks
-            if name in wanted
-        ]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
+        spans = [(offset, offset + length)
+                 for name, offset, length, _ in self.blocks if name in wanted]
+        if not spans:
+            return np.empty(0, dtype=values.dtype)
+        start, end = spans[0][0], spans[-1][1]
+        if end - start == sum(stop - begin for begin, stop in spans):
+            view = values[start:end]
+            view.flags.writeable = False
+            return view
+        return np.concatenate([values[begin:stop] for begin, stop in spans])
 
 
 @dataclass(frozen=True)
@@ -386,15 +393,17 @@ def _forward(params: ModelParams, tokens: np.ndarray, mask: np.ndarray) -> _Forw
         bad = int(np.flatnonzero(counts == 0)[0])
         raise EncodingError(f"sequence {bad} is empty after PAD removal")
     d_emb = params.d_emb
+    # Both masked means are one batched matmul with these weights.
+    pool = (mask / counts[:, None])[:, None, :]                 # (B, 1, L)
     emb = params.E[tokens]                                      # (B, L, De)
-    ctx = (emb * mask[..., None]).sum(axis=1) / counts[:, None]  # (B, De)
+    ctx = (pool @ emb)[:, 0]                                    # (B, De)
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
     hidden = emb @ w_tok.T                                      # (B, L, Dh)
     hidden += (ctx @ w_ctx.T)[:, None, :]
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    rep = (hidden * mask[..., None]).sum(axis=1) / counts[:, None]
+    rep = (pool @ hidden)[:, 0]                                 # (B, Dh)
     return _Forward(tokens=tokens, mask=mask, counts=counts, emb=emb, ctx=ctx,
                     hidden=hidden, rep=rep)
 
@@ -511,7 +520,7 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
 
     d_hidden must already be zero at PAD positions.
     """
-    d_emb = params.d_emb
+    d_emb, d_h = params.d_emb, params.d_h
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
 
@@ -520,7 +529,8 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
     d_pre *= d_hidden
     d_pre_sum = d_pre.sum(axis=1)                                # (B, Dh)
 
-    dW_tok = np.einsum("bld,ble->de", d_pre, fw.emb)
+    # d_pre and emb are fresh C-contiguous arrays, so both reshapes are views.
+    dW_tok = d_pre.reshape(-1, d_h).T @ fw.emb.reshape(-1, d_emb)  # (Dh, De)
     dW_ctx = d_pre_sum.T @ fw.ctx                                # (Dh, De)
     dW1 = np.concatenate([dW_tok, dW_ctx], axis=1)
     db1 = d_pre_sum.sum(axis=0)
@@ -566,15 +576,21 @@ def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
     return dE, dW1, db1, dP, dp0
 
 
-def _add_blocks(grad: FlatGradient, weight: float, names, arrays) -> None:
-    """Add weight * each block into the gradient's slice for it. The blocks
-    are the fresh arrays a raw gradient helper returns, so each is scaled in
-    place; at weight 1.0 scaling would leave every bit as it is."""
+def _add_blocks(params: ModelParams, grad: FlatGradient | None, weight: float, names,
+                arrays) -> FlatGradient:
+    """Add weight * each block into the gradient's slice for it; with grad None,
+    into a new zero gradient, allocated only now that the branch's backward
+    pass has freed its temporaries. The blocks are the fresh arrays a raw
+    gradient helper returns, so each is scaled in place; at weight 1.0 scaling
+    would leave every bit as it is."""
+    if grad is None:
+        grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
     slices = grad.layout.slices
     for name, arr in zip(names, arrays):
         if weight != 1.0:
             arr *= weight
         grad.values[slices[name]] += arr.ravel()
+    return grad
 
 
 def _check_finite(grad: FlatGradient, op: str) -> FlatGradient:
@@ -605,18 +621,18 @@ def grad_total(params: ModelParams, support_batch, masked_support,
     """Exact gradient of total_loss over all parameter blocks."""
     if not 0.0 <= aux_weight <= 1.0:
         raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
-    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
     aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
 
     # Blocks are added into the zero vector, not assigned: 0.0 + x turns a
     # -0.0 entry into +0.0, and the outputs depend on those bits.
     # Each branch's blocks are let go before the next branch computes its own.
+    grad = None
     if aux_weight < 1.0 or not aux_active:
-        _add_blocks(grad, 1.0 - aux_weight, PRIMARY_BLOCKS,
-                    _grad_primary_raw(params, support_batch))
+        grad = _add_blocks(params, grad, 1.0 - aux_weight, PRIMARY_BLOCKS,
+                           _grad_primary_raw(params, support_batch))
     if aux_active:
-        _add_blocks(grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS,
-                    _grad_aux_raw(params, masked_support))
+        grad = _add_blocks(params, grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS,
+                           _grad_aux_raw(params, masked_support))
     return _check_finite(grad, "grad_total")
 
 

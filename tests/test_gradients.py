@@ -1,4 +1,5 @@
-"""Finite-difference verification of every analytic gradient.
+"""Finite-difference verification of every analytic gradient, at one fixed
+shape and over random shapes.
 
 The oracle is harness.central_diff, the one check_gradients uses; it calls
 only the loss it is given, never the analytic gradient code it is checking.
@@ -8,11 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatext import harness
 from metatext.harness import central_diff, max_rel_err
 from metatext.model import (
     CLASSIFIER_BLOCKS,
+    FIRST_REAL_ID,
+    PAD_ID,
     PREDICTOR_BLOCKS,
     PRIMARY_BLOCKS,
     MaskedBatch,
@@ -82,6 +87,31 @@ def test_total_gradient_matches_finite_differences(seed, weight):
     params, batch, masked = random_instance(seed + 200)
     g = grad_total(params, batch, masked, weight)
     fd = central_diff(lambda p: total_loss(p, batch, masked, weight), params)
+    assert max_rel_err(g.values, fd) < FD_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(vocab_size=st.integers(FIRST_REAL_ID + 1, 10),
+       widths=st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda w: w[0] != w[1]),
+       n_way=st.integers(1, 5), n_seqs=st.integers(1, 6),
+       aux_weight=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_total_gradient_matches_finite_differences_over_shapes(vocab_size, widths, n_way,
+                                                               n_seqs, aux_weight, seed):
+    """d_emb differs from d_h, so a transposed or mis-reshaped contraction
+    cannot pass; the first sequence is one real token and a PAD, the others
+    1-6 tokens with 0-2 trailing PADs."""
+    d_emb, d_h = widths
+    cfg = ModelConfig(vocab_size=vocab_size, d_emb=d_emb, d_h=d_h, n_way=n_way)
+    rng = np.random.default_rng(seed)
+    params = cfg.init_params(rng)
+    seqs = [np.array([rng.integers(FIRST_REAL_ID, vocab_size), PAD_ID])]
+    for _ in range(n_seqs - 1):
+        seq = rng.integers(FIRST_REAL_ID, vocab_size, size=rng.integers(1, 7))
+        seqs.append(np.concatenate([seq, np.full(rng.integers(0, 3), PAD_ID)]))
+    batch = [(seq, int(rng.integers(n_way))) for seq in seqs]
+    masked = MaskedBatch.build(seqs, rng, mask_prob=0.5, vocab_size=vocab_size)
+    g = grad_total(params, batch, masked, aux_weight)
+    fd = central_diff(lambda p: total_loss(p, batch, masked, aux_weight), params)
     assert max_rel_err(g.values, fd) < FD_TOL
 
 

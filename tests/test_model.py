@@ -339,6 +339,14 @@ def test_flat_gradient_zeros_and_subset(small_model_cfg):
     b1_stop = layout.block_slice("b1").stop
     assert np.array_equal(sub, grad.values[:b1_stop])
     assert np.array_equal(grad.block("E"), grad.values[:e_len])
+    # Adjacent blocks come back as a view, others as a copy in layout order.
+    assert np.shares_memory(sub, grad.values)
+    with pytest.raises(ValueError, match="read-only"):
+        sub[0] = 1.0
+    apart = grad.subset(("C", "E"))
+    assert not np.shares_memory(apart, grad.values)
+    assert np.array_equal(apart, np.concatenate([grad.block("E"), grad.block("C")]))
+    assert grad.subset(()).size == 0
 
 
 def test_params_validate_catches_nonfinite(small_model_cfg):

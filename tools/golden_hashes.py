@@ -4,6 +4,7 @@ with one diff.
 
     python3 tools/golden_hashes.py 5 > golden_5.txt      # at each commit
     diff golden_parent_5.txt golden_change_5.txt          # no output: same bits
+    python3 tools/golden_hashes.py 5 --keep out_5         # keep the output tree too
 
 For each workload in bench/workloads.py (full size), the corpus is generated
 from SEED, and run_training is called once per method and per training seed
@@ -11,13 +12,17 @@ from SEED, and run_training is called once per method and per training seed
 the variants of the gated update run too: amgs_que, amgs_sup, amgs_que_sup,
 reptile with reptile_use_query, amgs with support_term and with
 support_direction set to first_step, and amgs_sup with both. Each line reads
-`sha256  workload/method/seed/file`. BLAS and OpenMP are pinned to one thread,
-as in the benchmark, and the metatext package is the one of this checkout.
+`sha256  workload/method/seed/file`. With --keep DIR the output tree is
+written under DIR (one DIR/workload/label-seed/ per call) and kept, so that
+tools/output_drift.py can compare two trees whose bits differ. BLAS and
+OpenMP are pinned to one thread, as in the benchmark, and the metatext package
+is the one of this checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -56,8 +61,15 @@ def runs(workload):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seed", type=int, help="workload seed (corpus and training seeds)")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the output tree under DIR (created) and keep it")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="golden-") as work:
+    if args.keep:
+        os.makedirs(args.keep)
+        tree = contextlib.nullcontext(args.keep)
+    else:
+        tree = tempfile.TemporaryDirectory(prefix="golden-")
+    with tree as work:
         for workload in WORKLOADS.values():
             work_dir = os.path.join(work, workload.name)
             os.makedirs(work_dir)
