@@ -226,14 +226,15 @@ class MaskedBatch:
     targets holds (sequence index, position, original token id) triples; under
     the default all-mask replacement strategy every target position carries
     MASK_ID in the masked sequence. The padded arrays are derived once per
-    instance, and the last pass of the masked-token branch is memoised on it,
-    so treat an instance as immutable.
+    instance, and the last pass of the masked-token branch alone is memoised
+    on it, so treat an instance as immutable.
     """
 
     sequences: list
     targets: list
     n_skipped: int = 0
     memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_targets(self) -> int:
@@ -341,17 +342,47 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 # forward pass
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
+class _Plan:
+    """The arrays of one padded (B, L) token batch that depend on the batch
+    alone, for one parameter dtype and embedding width: a batch derives its
+    plan on first use and keeps it, so every pass over it reads them. The
+    first split rows are a PackedBatch's and the rest a MaskedBatch's; a plan
+    kept by a PackedBatch holds the MaskedBatch stacked under it, if any, in
+    stacked."""
+
+    tokens: np.ndarray   # (B, L) int
+    d_emb: int
+    split: int
+    stacked: MaskedBatch | None
+    counts: np.ndarray   # (B,) non-PAD tokens per sequence, in the params' dtype
+    pool: np.ndarray     # (B, 1, L) pooling weights mask / counts
+    # (B * L,) token id * d_emb at each position, and E.size at PAD: the
+    # embedding scatter's base index, which sends PAD rows past dE.
+    index: np.ndarray
+
+    @classmethod
+    def build(cls, tokens: np.ndarray, mask: np.ndarray, params: ModelParams, split: int,
+              stacked: MaskedBatch | None = None) -> _Plan:
+        counts = mask.sum(axis=1).astype(params.E.dtype)
+        if np.any(counts == 0):
+            bad = int(np.flatnonzero(counts == 0)[0])
+            raise EncodingError(f"sequence {bad if bad < split else bad - split} "
+                                "is empty after PAD removal")
+        index = np.where(mask, tokens * params.d_emb, params.E.size).ravel()
+        return cls(tokens=tokens, d_emb=params.d_emb, split=split, stacked=stacked,
+                   counts=counts, pool=(mask / counts[:, None])[:, None, :], index=index)
+
+
+@dataclass(slots=True)
 class _Forward:
     """Cached intermediates for one batched forward pass."""
 
-    tokens: np.ndarray   # (B, L) int
-    mask: np.ndarray     # (B, L) bool
-    counts: np.ndarray   # (B,) float
+    plan: _Plan
     emb: np.ndarray      # (B, L, d_emb)
     ctx: np.ndarray      # (B, d_emb)
     hidden: np.ndarray   # (B, L, d_h)
-    rep: np.ndarray      # (B, d_h)
+    rep: np.ndarray      # (split, d_h)
 
 
 def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
@@ -366,16 +397,20 @@ def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
     return tokens, tokens != PAD_ID
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PackedBatch:
     """(sequence, label) pairs padded once; the losses and gradients accept it
     in place of the pairs, so a batch used for many steps is packed once, and
-    a gradient taken after its loss at the same params reuses the pass."""
+    a gradient taken after its loss at the same params and masked batch
+    reuses the pass."""
 
     tokens: np.ndarray   # (B, L) int
     mask: np.ndarray     # (B, L) bool, False at PAD
     labels: np.ndarray   # (B,) int
     memo: tuple | None = field(default=None, init=False, repr=False)
+    plan: _Plan | None = field(default=None, init=False, repr=False)
+    # The classifier width the labels were last checked against.
+    labels_fit: int | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def pack(cls, batch) -> "PackedBatch":
@@ -387,25 +422,39 @@ class PackedBatch:
         return cls(*_pack(seqs), labels)
 
 
-def _forward(params: ModelParams, tokens: np.ndarray, mask: np.ndarray) -> _Forward:
-    counts = mask.sum(axis=1).astype(params.E.dtype)
-    if np.any(counts == 0):
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise EncodingError(f"sequence {bad} is empty after PAD removal")
+def _plan_of(params: ModelParams, holder, stacked: MaskedBatch | None) -> _Plan:
+    """The plan kept by holder (a PackedBatch, with stacked under it or None,
+    or a MaskedBatch alone), built when it has none for stacked and the
+    params' dtype and embedding width."""
+    plan = holder.plan
+    if (plan is None or plan.stacked is not stacked or plan.counts.dtype != params.E.dtype
+            or plan.d_emb != params.d_emb):
+        if isinstance(holder, MaskedBatch):
+            tokens, mask, split = *holder.packed, 0
+        elif stacked is None:
+            tokens, mask, split = holder.tokens, holder.mask, len(holder.tokens)
+        else:
+            tokens, mask = _pack([*holder.tokens, *stacked.packed[0]])
+            split = len(holder.tokens)
+        plan = holder.plan = _Plan.build(tokens, mask, params, split, stacked)
+    return plan
+
+
+def _forward(params: ModelParams, plan: _Plan) -> _Forward:
     d_emb = params.d_emb
-    # Both masked means are one batched matmul with these weights.
-    pool = (mask / counts[:, None])[:, None, :]                 # (B, 1, L)
-    emb = params.E[tokens]                                      # (B, L, De)
-    ctx = (pool @ emb)[:, 0]                                    # (B, De)
+    # Both masked means are one batched matmul with the pooling weights.
+    emb = params.E[plan.tokens]                                 # (B, L, De)
+    ctx = (plan.pool @ emb)[:, 0]                               # (B, De)
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
     hidden = emb @ w_tok.T                                      # (B, L, Dh)
     hidden += (ctx @ w_ctx.T)[:, None, :]
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    rep = (pool @ hidden)[:, 0]                                 # (B, Dh)
-    return _Forward(tokens=tokens, mask=mask, counts=counts, emb=emb, ctx=ctx,
-                    hidden=hidden, rep=rep)
+    # Sentence representations of the rows that are classified, the first
+    # split.
+    rep = (plan.pool[:plan.split] @ hidden[:plan.split])[:, 0]  # (split, Dh)
+    return _Forward(plan=plan, emb=emb, ctx=ctx, hidden=hidden, rep=rep)
 
 
 def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +466,7 @@ def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
     seq = np.asarray(sequence, dtype=np.int64)
     if seq.ndim != 1 or not np.any((seq != PAD_ID)):
         raise EncodingError("sequence is empty after PAD removal")
-    fw = _forward(params, seq[None, :], (seq != PAD_ID)[None, :])
+    fw = _forward(params, _Plan.build(seq[None, :], (seq != PAD_ID)[None, :], params, 1))
     return fw.hidden[0], fw.rep[0]
 
 
@@ -429,8 +478,10 @@ def _labelled(params: ModelParams, batch) -> PackedBatch:
     """Pack (sequence, label) pairs, or take a packed batch, and check that its
     labels fit the classifier."""
     packed = PackedBatch.pack(batch)
-    if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
-        raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
+    if packed.labels_fit != params.n_way:
+        if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
+            raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
+        packed.labels_fit = params.n_way
     return packed
 
 
@@ -441,36 +492,52 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     logp -= np.log(dlogits.sum(axis=1, keepdims=True))
     n = logits.shape[0]
     idx = np.arange(n)
-    loss = float(-logp[idx, labels].mean())
+    # sum() / n is mean()'s arithmetic without its Python-level wrapper.
+    loss = float(-logp[idx, labels].sum() / n)
     np.exp(logp, out=dlogits)
     dlogits[idx, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
 
 
-def _primary_pass(params: ModelParams, packed: PackedBatch):
-    """(forward pass, logits, loss, d loss/d logits) of the classification
-    branch, memoised on the batch for the last params object it saw."""
-    slot = packed.memo
-    if slot is None or slot[0] is not params:
-        fw = _forward(params, packed.tokens, packed.mask)
-        logits = fw.rep @ params.C.T + params.c0
-        slot = packed.memo = (params, (fw, logits, *_softmax_xent(logits, packed.labels)))
-    return slot[1]
+def _pass(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None):
+    """One forward pass over the rows of the active branches, the
+    classification branch on packed and the masked-token branch on masked
+    (either may be None), with each branch's logits, loss and d loss/d logits:
+    (fw, (logits, loss, d_logits) or None, (target hidden states, loss,
+    d_logits) or None). Memoised on packed (masked when packed is None) for
+    the last params object and masked batch it saw."""
+    holder, stacked = (masked, None) if packed is None else (packed, masked)
+    slot = holder.memo
+    if slot is None or slot[0] is not params or slot[1] is not stacked:
+        plan = _plan_of(params, holder, stacked)
+        fw = _forward(params, plan)
+        primary = aux = None
+        if packed is not None:
+            logits = fw.rep @ params.C.T + params.c0
+            primary = (logits, *_softmax_xent(logits, packed.labels))
+        if masked is not None:
+            si, pos, orig = masked.target_arrays
+            h_tgt = fw.hidden[si + plan.split, pos]                   # (T, Dh)
+            logits = h_tgt @ params.P.T                                # (T, V)
+            logits += params.p0
+            aux = (h_tgt, *_softmax_xent(logits, orig))
+        slot = holder.memo = (params, stacked, (fw, primary, aux))
+    return slot[2]
 
 
-def _aux_pass(params: ModelParams, masked: MaskedBatch):
-    """(forward pass, target hidden states, loss, d loss/d logits) of the
-    masked-token branch, memoised like _primary_pass."""
-    slot = masked.memo
-    if slot is None or slot[0] is not params:
-        fw = _forward(params, *masked.packed)
-        si, pos, orig = masked.target_arrays
-        h_tgt = fw.hidden[si, pos]                      # (T, Dh)
-        logits = h_tgt @ params.P.T                      # (T, V)
-        logits += params.p0
-        slot = masked.memo = (params, (fw, h_tgt, *_softmax_xent(logits, orig)))
-    return slot[1]
+def _branches(params: ModelParams, support_batch, masked_support,
+              aux_weight: float) -> tuple[PackedBatch | None, MaskedBatch | None]:
+    """The branches total_loss weighs at aux_weight, as (packed support batch
+    or None, masked batch or None): the masked-token branch runs when its
+    weight is positive and masked_support has targets, the classification
+    branch unless the other runs alone at weight 1."""
+    if not 0.0 <= aux_weight <= 1.0:
+        raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
+    aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
+    packed = (_labelled(params, support_batch) if aux_weight < 1.0 or not aux_active
+              else None)
+    return packed, masked_support if aux_active else None
 
 
 def primary_loss(params: ModelParams, batch) -> tuple[float, np.ndarray]:
@@ -479,7 +546,7 @@ def primary_loss(params: ModelParams, batch) -> tuple[float, np.ndarray]:
 
     Returns (loss, logits) with logits of shape (batch, n_way).
     """
-    _, logits, loss, _ = _primary_pass(params, _labelled(params, batch))
+    logits, loss, _ = _pass(params, _labelled(params, batch), None)[1]
     return loss, logits
 
 
@@ -487,7 +554,7 @@ def aux_loss(params: ModelParams, masked: MaskedBatch) -> float:
     """Mean vocabulary cross-entropy over every masked-token target."""
     if masked.num_targets == 0:
         raise ValueError("masked batch has no targets; caller must filter")
-    return _aux_pass(params, masked)[2]
+    return _pass(params, None, masked)[2][1]
 
 
 def total_loss(params: ModelParams, support_batch, masked_support,
@@ -499,15 +566,13 @@ def total_loss(params: ModelParams, support_batch, masked_support,
     or holds no targets, so degenerate episodes fall back to pure
     classification.
     """
-    if not 0.0 <= aux_weight <= 1.0:
-        raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
-    aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
+    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
+    _, primary, aux = _pass(params, packed, masked)
     loss = 0.0
-    if aux_weight < 1.0 or not aux_active:
-        pri, _ = primary_loss(params, support_batch)
-        loss += (1.0 - aux_weight) * pri
-    if aux_active:
-        loss += aux_weight * aux_loss(params, masked_support)
+    if primary is not None:
+        loss += (1.0 - aux_weight) * primary[1]
+    if aux is not None:
+        loss += aux_weight * aux[1]
     return loss
 
 
@@ -538,63 +603,69 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
     d_emb_direct = d_pre @ w_tok                                 # (B, L, De)
     d_ctx = d_pre_sum @ w_ctx                                    # (B, De)
     # ctx is the masked mean of embeddings, so its gradient spreads uniformly
-    # over non-PAD positions; the scatter below reads only those rows.
-    d_emb_total = d_emb_direct + (d_ctx / fw.counts[:, None])[:, None, :]
+    # over non-PAD positions; the scatter below drops the PAD rows.
+    d_emb_total = d_emb_direct + (d_ctx / fw.plan.counts[:, None])[:, None, :]
 
     # One bincount over the flat index token * d_emb + column sums each entry
-    # of E in input order from 0.0, as np.add.at into zeros would; it sums in
-    # float64, and float32 parameters get the sums rounded once.
-    index = (fw.tokens[fw.mask] * d_emb)[:, None] + np.arange(d_emb)
-    dE = np.bincount(index.ravel(), weights=d_emb_total[fw.mask].ravel(),
-                     minlength=params.E.size).reshape(params.E.shape)
+    # of E in input order from 0.0, as np.add.at into zeros would; PAD rows
+    # land in d_emb bins past E, which are dropped. It sums in float64, and
+    # float32 parameters get the sums rounded once.
+    index = fw.plan.index[:, None] + np.arange(d_emb)
+    dE = np.bincount(index.ravel(), weights=d_emb_total.ravel(),
+                     minlength=params.E.size + d_emb)[:params.E.size].reshape(params.E.shape)
     return dE.astype(params.E.dtype, copy=False), dW1, db1
 
 
-def _grad_primary_raw(params: ModelParams, batch):
-    """Gradient of the classification loss; aux-head blocks stay exactly zero."""
-    fw, _, _, d_logits = _primary_pass(params, _labelled(params, batch))
-    dC = d_logits.T @ fw.rep
-    dc0 = d_logits.sum(axis=0)
-    d_rep = d_logits @ params.C                                  # (B, Dh)
-    pool = (fw.mask / fw.counts[:, None])                        # (B, L)
-    d_hidden = d_rep[:, None, :] * pool[..., None]
-    dE, dW1, db1 = _backprop_encoder(params, fw, d_hidden)
-    return dE, dW1, db1, dC, dc0
-
-
-def _grad_aux_raw(params: ModelParams, masked: MaskedBatch):
-    """Gradient of the masked-token loss; classifier blocks stay exactly zero."""
-    fw, h_tgt, _, d_logits = _aux_pass(params, masked)
-    si, pos, _ = masked.target_arrays
-    dP = d_logits.T @ h_tgt
-    dp0 = d_logits.sum(axis=0)
-    d_h_tgt = d_logits @ params.P                                # (T, Dh)
-    d_hidden = np.zeros_like(fw.hidden)
-    # The (si, pos) targets are unique, so += adds each row once into 0.0.
-    d_hidden[si, pos] += d_h_tgt
-    dE, dW1, db1 = _backprop_encoder(params, fw, d_hidden)
-    return dE, dW1, db1, dP, dp0
-
-
-def _add_blocks(params: ModelParams, grad: FlatGradient | None, weight: float, names,
-                arrays) -> FlatGradient:
-    """Add weight * each block into the gradient's slice for it; with grad None,
-    into a new zero gradient, allocated only now that the branch's backward
-    pass has freed its temporaries. The blocks are the fresh arrays a raw
-    gradient helper returns, so each is scaled in place; at weight 1.0 scaling
-    would leave every bit as it is."""
-    if grad is None:
-        grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
-    slices = grad.layout.slices
-    for name, arr in zip(names, arrays):
-        if weight != 1.0:
-            arr *= weight
-        grad.values[slices[name]] += arr.ravel()
-    return grad
+def _grad_blocks(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None,
+                 aux_weight: float) -> list:
+    """Gradient of (1 - aux_weight) * classification loss + aux_weight *
+    masked-token loss over the branches _pass runs, as (block name, fresh
+    array, weight left to apply) triples; blocks a branch does not touch are
+    left out. A single branch's blocks are its own loss's gradient, left to
+    be weighted. With both, one backward pass runs over a d_hidden whose rows
+    already carry their branch's weight, and only the head blocks are left."""
+    fw, primary, aux = _pass(params, packed, masked)
+    plan = fw.plan
+    both = primary is not None and aux is not None
+    w_primary, w_aux = 1.0 - aux_weight, aux_weight
+    blocks = []
+    d_hidden = None
+    if primary is not None:
+        d_logits = primary[2]
+        blocks += [("C", d_logits.T @ fw.rep, w_primary),
+                   ("c0", d_logits.sum(axis=0), w_primary)]
+        d_rep = d_logits @ params.C                              # (B, Dh)
+        if both:
+            d_rep *= w_primary
+        pool = plan.pool[:plan.split, 0, :, None]
+        if aux is None:
+            d_hidden = d_rep[:, None, :] * pool
+        else:
+            d_hidden = np.zeros_like(fw.hidden)
+            np.multiply(d_rep[:, None, :], pool, out=d_hidden[:plan.split])
+    if aux is not None:
+        h_tgt, _, d_logits = aux
+        blocks += [("P", d_logits.T @ h_tgt, w_aux), ("p0", d_logits.sum(axis=0), w_aux)]
+        d_h_tgt = d_logits @ params.P                            # (T, Dh)
+        if both:
+            d_h_tgt *= w_aux
+        if d_hidden is None:
+            d_hidden = np.zeros_like(fw.hidden)
+        # The (si, pos) targets are unique, so += adds each row once into 0.0.
+        si, pos, _ = masked.target_arrays
+        d_hidden[si + plan.split, pos] += d_h_tgt
+    w_encoder = 1.0 if both else w_primary if aux is None else w_aux
+    return [*zip(ENCODER_BLOCKS, _backprop_encoder(params, fw, d_hidden),
+                 (w_encoder,) * 3), *blocks]
 
 
 def _check_finite(grad: FlatGradient, op: str) -> FlatGradient:
-    if not np.all(np.isfinite(grad.values)):
+    # A finite dot product means no inf or NaN entry, without a flat-sized
+    # temporary; one that overflows falls through to the scan, which names
+    # the block.
+    with np.errstate(over="ignore"):
+        square = grad.values @ grad.values
+    if not np.isfinite(square):
         for name, offset, length, _ in grad.layout.blocks:
             if not np.all(np.isfinite(grad.values[offset : offset + length])):
                 raise NumericalError(f"{op} produced non-finite entries in block {name}")
@@ -607,11 +678,11 @@ def grad_primary(params: ModelParams, batch) -> FlatGradient:
     Predictor-head blocks of the result are exactly zero: the classification
     path never touches them.
     """
-    blocks = _grad_primary_raw(params, batch)
+    blocks = _grad_blocks(params, _labelled(params, batch), None, 0.0)
     grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
     slices = grad.layout.slices
     # Assigned, not added: the result keeps each block's bits, -0.0 included.
-    for name, arr in zip(PRIMARY_BLOCKS, blocks):
+    for name, arr, _ in blocks:
         grad.values[slices[name]] = arr.ravel()
     return _check_finite(grad, "grad_primary")
 
@@ -619,20 +690,19 @@ def grad_primary(params: ModelParams, batch) -> FlatGradient:
 def grad_total(params: ModelParams, support_batch, masked_support,
                aux_weight: float) -> FlatGradient:
     """Exact gradient of total_loss over all parameter blocks."""
-    if not 0.0 <= aux_weight <= 1.0:
-        raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
-    aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
-
-    # Blocks are added into the zero vector, not assigned: 0.0 + x turns a
-    # -0.0 entry into +0.0, and the outputs depend on those bits.
-    # Each branch's blocks are let go before the next branch computes its own.
-    grad = None
-    if aux_weight < 1.0 or not aux_active:
-        grad = _add_blocks(params, grad, 1.0 - aux_weight, PRIMARY_BLOCKS,
-                           _grad_primary_raw(params, support_batch))
-    if aux_active:
-        grad = _add_blocks(params, grad, aux_weight, ENCODER_BLOCKS + PREDICTOR_BLOCKS,
-                           _grad_aux_raw(params, masked_support))
+    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
+    blocks = _grad_blocks(params, packed, masked, aux_weight)
+    # The zero vector comes only now that the backward pass has freed its
+    # temporaries. Blocks are added into it, not assigned: 0.0 + x turns a
+    # -0.0 entry into +0.0, and the outputs depend on those bits. Each block
+    # is a fresh array, so it is weighted in place; at weight 1.0 scaling
+    # would leave every bit as it is.
+    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
+    slices = grad.layout.slices
+    for name, arr, weight in blocks:
+        if weight != 1.0:
+            arr *= weight
+        grad.values[slices[name]] += arr.ravel()
     return _check_finite(grad, "grad_total")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatext.episodes import (
     ClassSplit,
@@ -13,6 +15,7 @@ from metatext.episodes import (
     sample_episode,
     tokenize,
 )
+from metatext.model import FIRST_REAL_ID
 
 from conftest import build_corpus, write_jsonl
 
@@ -252,3 +255,43 @@ def test_train_test_episode_classes_disjoint():
     assert not train_classes & test_classes
     assert train_classes <= split.train_classes
     assert test_classes <= split.test_classes
+
+
+PARTS = ("train", "val", "test")
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_classes=st.integers(1, 10), data=st.data())
+def test_splits_and_episodes_over_random_partitions(num_classes, data):
+    """Over random partitions of the classes into train, val, test and
+    unused: make_splits keeps each part, a class listed in two parts is
+    rejected, and every episode of a part draws distinct classes of that
+    part, each document under the local label of its own class."""
+    docs_per_class = 3
+    corpus = build_corpus(num_classes=num_classes, docs_per_class=docs_per_class)
+    names = corpus.class_names
+    owner = data.draw(st.lists(st.sampled_from(PARTS + (None,)), min_size=num_classes,
+                               max_size=num_classes))
+    parts = {part: [names[c] for c in range(num_classes) if owner[c] == part] for part in PARTS}
+    split = make_splits(corpus, *parts.values())
+    for part in PARTS:
+        assert split.part(part) == tuple(c for c in range(num_classes) if owner[c] == part)
+
+    c = data.draw(st.integers(0, num_classes - 1))
+    a, b = data.draw(st.lists(st.sampled_from(PARTS), min_size=2, max_size=2, unique=True))
+    overlapping = {part: [n for n in names_ if n != names[c]] for part, names_ in parts.items()}
+    overlapping[a].append(names[c])
+    overlapping[b].append(names[c])
+    with pytest.raises(SplitError, match="both"):
+        make_splits(corpus, *overlapping.values())
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for part in PARTS:
+        classes = split.part(part)
+        if not classes:
+            continue
+        n_way = data.draw(st.integers(1, len(classes)))
+        ep = sample_episode(corpus, split, part, n_way, 1, 2, rng)
+        assert len(set(ep.label_map)) == n_way and set(ep.label_map) <= set(classes)
+        for seq, local in ep.support + ep.query:
+            assert (int(seq[0]) - FIRST_REAL_ID) // docs_per_class == ep.label_map[local]

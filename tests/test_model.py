@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metatext.model import (
     BLOCK_NAMES,
@@ -236,6 +238,41 @@ def test_masked_batch_invariants_under_default_strategy():
     for si, pos, orig in batch.targets:
         assert batch.sequences[si][pos] == MASK_ID
         assert orig not in (PAD_ID, MASK_ID)
+
+
+strategies = st.sampled_from([(1.0, 0.0, 0.0), (0.8, 0.1, 0.1), (0.0, 1.0, 0.0),
+                               (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+       mask_prob=st.sampled_from([1e-12, 0.15, 0.3, 1.0]), strategy=strategies,
+       vocab_size=st.integers(FIRST_REAL_ID + 1, 12))
+def test_masked_batch_properties(seed, lengths, mask_prob, strategy, vocab_size):
+    """Over random sequences that may hold PAD, UNK and MASK ids: targets are
+    unique (sequence, position) pairs at non-PAD, non-MASK positions and
+    record the original id; every sequence with a maskable token gets at
+    least one target, and the others are skipped and left as they were;
+    positions that are not targets keep their ids; under (1, 0, 0) every
+    target carries MASK_ID."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(0, vocab_size, size=n) for n in lengths]
+    batch = MaskedBatch.build(seqs, rng, mask_prob=mask_prob, strategy=strategy,
+                              vocab_size=vocab_size)
+    assert len(batch.sequences) == len(seqs)
+    places = [(si, pos) for si, pos, _ in batch.targets]
+    assert len(set(places)) == len(places)
+    for si, pos, orig in batch.targets:
+        assert seqs[si][pos] == orig and orig not in (PAD_ID, MASK_ID)
+        if strategy == (1.0, 0.0, 0.0):
+            assert batch.sequences[si][pos] == MASK_ID
+    maskable = [bool(np.any((s != PAD_ID) & (s != MASK_ID))) for s in seqs]
+    assert {si for si, _ in places} == {si for si, ok in enumerate(maskable) if ok}
+    assert batch.n_skipped == maskable.count(False)
+    for si, (seq, masked) in enumerate(zip(seqs, batch.sequences)):
+        kept = np.ones(seq.size, dtype=bool)
+        kept[[pos for i, pos in places if i == si]] = False
+        assert masked.shape == seq.shape and np.array_equal(masked[kept], seq[kept])
 
 
 # ---------------------------------------------------------------------------
