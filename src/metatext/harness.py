@@ -535,12 +535,12 @@ def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) ->
                                    vocab_size=cfg.vocab_size)
         aux_w = 0.3
         g = grad_primary(params, batch)
-        worst["primary"] = max(worst["primary"], max_rel_err(g.values, central_diff(
+        worst["primary"] = max(worst["primary"], max_rel_err(g, central_diff(
             lambda p: primary_loss(p, batch)[0], params, step)))
         g = grad_total(params, batch, masked, 1.0)
-        worst["aux"] = max(worst["aux"], max_rel_err(g.values, central_diff(
+        worst["aux"] = max(worst["aux"], max_rel_err(g, central_diff(
             lambda p: total_loss(p, batch, masked, 1.0), params, step)))
         g = grad_total(params, batch, masked, aux_w)
-        worst["total"] = max(worst["total"], max_rel_err(g.values, central_diff(
+        worst["total"] = max(worst["total"], max_rel_err(g, central_diff(
             lambda p: total_loss(p, batch, masked, aux_w), params, step)))
     return worst

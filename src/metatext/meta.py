@@ -5,9 +5,11 @@ The meta-learner keeps an initialization psi. For each episode the base
 learner takes plain gradient-descent steps on the support set (classification
 plus, optionally, masked-token prediction). The query-set gradient at the
 adapted parameters is then either added to the meta-gradient or discarded,
-depending on the sign of its cosine against the support direction. The
-meta-update itself runs through Adam by default; a plain-SGD mode exists so
-single steps can be checked against hand-assembled sums.
+depending on its cosine against the support direction over the primary
+blocks; gradients are flat vectors in the parameters' layout order. The
+meta-update itself runs through Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) by
+default; a plain-SGD mode exists so single steps can be checked against
+hand-assembled sums.
 
 One loop, _step, runs every method and reads its behaviour from a MetaConfig:
 FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are settings of the gated
@@ -29,12 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    FlatGradient,
     MaskedBatch,
     ModelParams,
     NumericalError,
     PackedBatch,
-    PRIMARY_BLOCKS,
+    ParamLayout,
     check_masking,
     grad_primary,
     grad_total,
@@ -49,6 +50,9 @@ from .model import (
 FOMAML_PRESET = dict(aux_weight=0.0, include_support=False, query_mode="always")
 REPTILE_PRESET = dict(aux_weight=0.0, include_support=True, support_term="accumulated",
                       query_mode="never")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class InnerLoopError(RuntimeError):
@@ -87,9 +91,6 @@ class MetaConfig:
     include_support: bool = True
     query_mode: str = "gated"        # gated | always | never
     meta_optimizer: str = "adam"     # adam | sgd (sgd exists for exact checks)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     reptile_use_query: bool = False
 
     def validate(self) -> None:
@@ -146,23 +147,22 @@ class AdaptResult:
     psi: ModelParams
     cfg: MetaConfig
     theta_hat: ModelParams
-    first_grad: FlatGradient  # gradient of the total loss at the start point
+    first_grad: np.ndarray  # gradient of the total loss at the start point
     loss_trace: list
     masked: MaskedBatch | None
-    g_qry: FlatGradient | None = None
+    g_qry: np.ndarray | None = None
     query_loss: float | None = None
     cos_value: float | None = None
     gate_open: bool | None = None
 
     @functools.cached_property
-    def accumulated(self) -> FlatGradient:
+    def accumulated(self) -> np.ndarray:
         lr = self.cfg.inner_lr
-        movement = ((self.psi.flat - self.theta_hat.flat) / lr if lr != 0.0
-                    else np.zeros_like(self.psi.flat))
-        return FlatGradient(movement, self.psi.layout())
+        return ((self.psi.flat - self.theta_hat.flat) / lr if lr != 0.0
+                else np.zeros_like(self.psi.flat))
 
     @property
-    def g_sup(self) -> FlatGradient:
+    def g_sup(self) -> np.ndarray:
         if self.cfg.support_direction == "first_step":
             return self.first_grad
         return self.accumulated
@@ -222,7 +222,7 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
             first = g
         # params.flat - inner_lr * g in one new vector: the product is written
         # into it and the difference taken in place.
-        flat = np.multiply(g.values, cfg.inner_lr)
+        flat = np.multiply(g, cfg.inner_lr)
         params = ModelParams.from_flat(np.subtract(params.flat, flat, out=flat), layout)
     return params, first, trace, masked
 
@@ -243,19 +243,17 @@ def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Gener
                        loss_trace=trace, masked=masked)
 
 
-def gate(g_sup: FlatGradient, g_qry: FlatGradient, threshold: float = 0.0,
+def gate(g_sup: np.ndarray, g_qry: np.ndarray, layout: ParamLayout, threshold: float = 0.0,
          eps: float = 1e-12) -> tuple[float, bool]:
-    """Cosine between support and query gradients over the primary blocks.
+    """Cosine between support and query gradients over layout's primary blocks.
 
     The predictor-head blocks are excluded: the query gradient is structurally
     zero there and would only drag the cosine toward zero. Degenerate norms
     (below eps) define a cosine of 0, which opens the gate at the default
-    threshold.
+    threshold. A vector of another length than layout's raises ValueError.
     """
-    if g_sup.layout != g_qry.layout:
-        raise ValueError("gradient layouts differ")
-    a = g_sup.subset(PRIMARY_BLOCKS)
-    b = g_qry.subset(PRIMARY_BLOCKS)
+    a = layout.primary(g_sup)
+    b = layout.primary(g_qry)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < eps or nb < eps:
@@ -275,11 +273,11 @@ def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
         new_flat = state.psi.flat - cfg.meta_lr * meta_grad
         m, v = state.m.copy(), state.v.copy()
     else:
-        m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * meta_grad
-        v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * meta_grad ** 2
-        m_hat = m / (1.0 - cfg.adam_beta1 ** t)
-        v_hat = v / (1.0 - cfg.adam_beta2 ** t)
-        new_flat = state.psi.flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * meta_grad
+        v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * meta_grad ** 2
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new_flat = state.psi.flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return MetaState(psi=ModelParams.from_flat(new_flat, state.psi.layout()), m=m, v=v,
                      step_count=t, cfg=cfg)
 
@@ -301,7 +299,8 @@ def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
         res.query_loss, _ = primary_loss(res.theta_hat, query)
         res.g_qry = grad_primary(res.theta_hat, query)
         if cosine:
-            res.cos_value, res.gate_open = gate(res.g_sup, res.g_qry, cfg.gate_threshold)
+            res.cos_value, res.gate_open = gate(res.g_sup, res.g_qry, psi.layout(),
+                                                cfg.gate_threshold)
     return res
 
 
@@ -316,6 +315,7 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
     if not episode_batch:
         raise ValueError("episode batch is empty")
     meta_grad = np.zeros_like(state.psi.flat)
+    layout = state.psi.layout()
     rows = []  # one per episode, in StepReport field order
     for ep in episode_batch:
         if query_in_inner:
@@ -323,16 +323,17 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
         res = evaluate_episode(state.psi, ep, cfg, rng, cosine=cosine)
         if cfg.include_support:
             term = res.first_grad if cfg.support_term == "first_step" else res.accumulated
-            meta_grad += term.values
+            meta_grad += term
         include_query = res.g_qry is not None and (
             cfg.query_mode == "always"
             or (cfg.query_mode == "gated" and res.gate_open))
         if include_query:
-            meta_grad += res.g_qry.values
+            meta_grad += res.g_qry
         rows.append((res.cos_value, res.gate_open if res.g_qry is not None else None,
                      include_query or query_in_inner, res.loss_trace[-1], res.query_loss,
-                     res.g_sup.norm(PRIMARY_BLOCKS) if cosine else None,
-                     res.g_qry.norm(PRIMARY_BLOCKS) if res.g_qry is not None else None,
+                     float(np.linalg.norm(layout.primary(res.g_sup))) if cosine else None,
+                     (float(np.linalg.norm(layout.primary(res.g_qry)))
+                      if res.g_qry is not None else None),
                      res.masked.num_targets if res.masked is not None else 0))
     new_state = _apply_update(state, meta_grad)
     return new_state, StepReport(new_state.step_count, *map(list, zip(*rows)),

@@ -3,8 +3,8 @@ r"""Two-headed text encoder: classification head plus masked-token prediction he
 The encoder is deliberately small: token embeddings, a mean-pooled context
 vector, and a single tanh layer producing per-token hidden states. Both heads
 are linear softmax classifiers over those hidden states. All losses come with
-exact analytic gradients over a partitioned flat parameter vector, so the
-meta-learning loop never needs an autodiff framework.
+exact analytic gradients, returned as flat vectors in the parameter layout's
+order, so the meta-learning loop never needs an autodiff framework.
 
 Parameter blocks, in fixed flat order:
     E  (vocab, d_emb)   token embeddings        \
@@ -80,28 +80,15 @@ class ParamLayout:
             offset += length
         return cls(blocks=tuple(blocks), size=offset)
 
-    def block_slice(self, name: str) -> slice:
-        try:
-            return self.slices[name]
-        except KeyError:
-            raise KeyError(f"unknown parameter block {name!r}") from None
-
-    def subset(self, values: np.ndarray, names) -> np.ndarray:
-        """The given blocks of a flat vector, in layout order: a view when they
-        are adjacent in the layout (PRIMARY_BLOCKS are its prefix), else a
-        concatenated copy. A view is marked read-only, so that writing to it
-        cannot change the vector it views."""
-        wanted = set(names)
-        spans = [(offset, offset + length)
-                 for name, offset, length, _ in self.blocks if name in wanted]
-        if not spans:
-            return np.empty(0, dtype=values.dtype)
-        start, end = spans[0][0], spans[-1][1]
-        if end - start == sum(stop - begin for begin, stop in spans):
-            view = values[start:end]
-            view.flags.writeable = False
-            return view
-        return np.concatenate([values[begin:stop] for begin, stop in spans])
+    def primary(self, values: np.ndarray) -> np.ndarray:
+        """The PRIMARY_BLOCKS of a flat vector in this layout, its prefix: a
+        view marked read-only, so that writing to it cannot change the vector
+        it views."""
+        if values.shape != (self.size,):
+            raise ValueError(f"flat vector has length {values.shape}, layout expects {self.size}")
+        view = values[:self.slices[PRIMARY_BLOCKS[-1]].stop]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True)
@@ -195,28 +182,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.layout())
-
-
-@dataclass
-class FlatGradient:
-    """Flat gradient vector plus the block layout that describes it."""
-
-    values: np.ndarray
-    layout: ParamLayout
-
-    @classmethod
-    def zeros(cls, layout: ParamLayout, dtype=np.float64) -> "FlatGradient":
-        return cls(values=np.zeros(layout.size, dtype=dtype), layout=layout)
-
-    def block(self, name: str) -> np.ndarray:
-        return self.values[self.layout.block_slice(name)]
-
-    def subset(self, names) -> np.ndarray:
-        return self.layout.subset(self.values, names)
-
-    def norm(self, names=None) -> float:
-        vec = self.values if names is None else self.subset(names)
-        return float(np.linalg.norm(vec))
 
 
 @dataclass
@@ -345,14 +310,14 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 @dataclass(eq=False, slots=True)
 class _Plan:
     """The arrays of one padded (B, L) token batch that depend on the batch
-    alone, for one parameter dtype and embedding width: a batch derives its
+    alone, for one parameter layout and dtype: a batch derives its
     plan on first use and keeps it, so every pass over it reads them. The
     first split rows are a PackedBatch's and the rest a MaskedBatch's; a plan
     kept by a PackedBatch holds the MaskedBatch stacked under it, if any, in
     stacked."""
 
     tokens: np.ndarray   # (B, L) int
-    d_emb: int
+    layout: ParamLayout
     split: int
     stacked: MaskedBatch | None
     counts: np.ndarray   # (B,) non-PAD tokens per sequence, in the params' dtype
@@ -370,7 +335,7 @@ class _Plan:
             raise EncodingError(f"sequence {bad if bad < split else bad - split} "
                                 "is empty after PAD removal")
         index = np.where(mask, tokens * params.d_emb, params.E.size).ravel()
-        return cls(tokens=tokens, d_emb=params.d_emb, split=split, stacked=stacked,
+        return cls(tokens=tokens, layout=params.layout(), split=split, stacked=stacked,
                    counts=counts, pool=(mask / counts[:, None])[:, None, :], index=index)
 
 
@@ -425,10 +390,10 @@ class PackedBatch:
 def _plan_of(params: ModelParams, holder, stacked: MaskedBatch | None) -> _Plan:
     """The plan kept by holder (a PackedBatch, with stacked under it or None,
     or a MaskedBatch alone), built when it has none for stacked and the
-    params' dtype and embedding width."""
+    params' layout and dtype."""
     plan = holder.plan
-    if (plan is None or plan.stacked is not stacked or plan.counts.dtype != params.E.dtype
-            or plan.d_emb != params.d_emb):
+    if (plan is None or plan.stacked is not stacked or plan.layout is not params.layout()
+            or plan.counts.dtype != params.E.dtype):
         if isinstance(holder, MaskedBatch):
             tokens, mask, split = *holder.packed, 0
         elif stacked is None:
@@ -659,51 +624,51 @@ def _grad_blocks(params: ModelParams, packed: PackedBatch | None, masked: Masked
                  (w_encoder,) * 3), *blocks]
 
 
-def _check_finite(grad: FlatGradient, op: str) -> FlatGradient:
+def _check_finite(values: np.ndarray, layout: ParamLayout, op: str) -> np.ndarray:
     # A finite dot product means no inf or NaN entry, without a flat-sized
     # temporary; one that overflows falls through to the scan, which names
     # the block.
     with np.errstate(over="ignore"):
-        square = grad.values @ grad.values
+        square = values @ values
     if not np.isfinite(square):
-        for name, offset, length, _ in grad.layout.blocks:
-            if not np.all(np.isfinite(grad.values[offset : offset + length])):
+        for name, offset, length, _ in layout.blocks:
+            if not np.all(np.isfinite(values[offset : offset + length])):
                 raise NumericalError(f"{op} produced non-finite entries in block {name}")
-    return grad
+    return values
 
 
-def grad_primary(params: ModelParams, batch) -> FlatGradient:
-    """Exact gradient of primary_loss w.r.t. encoder and classifier blocks.
-
-    Predictor-head blocks of the result are exactly zero: the classification
-    path never touches them.
-    """
-    blocks = _grad_blocks(params, _labelled(params, batch), None, 0.0)
-    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
-    slices = grad.layout.slices
-    # Assigned, not added: the result keeps each block's bits, -0.0 included.
-    for name, arr, _ in blocks:
-        grad.values[slices[name]] = arr.ravel()
-    return _check_finite(grad, "grad_primary")
-
-
-def grad_total(params: ModelParams, support_batch, masked_support,
-               aux_weight: float) -> FlatGradient:
-    """Exact gradient of total_loss over all parameter blocks."""
-    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
+def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None,
+              aux_weight: float, op: str) -> np.ndarray:
+    """The flat gradient of _grad_blocks' branches, checked finite for op."""
     blocks = _grad_blocks(params, packed, masked, aux_weight)
     # The zero vector comes only now that the backward pass has freed its
     # temporaries. Blocks are added into it, not assigned: 0.0 + x turns a
     # -0.0 entry into +0.0, and the outputs depend on those bits. Each block
     # is a fresh array, so it is weighted in place; at weight 1.0 scaling
     # would leave every bit as it is.
-    grad = FlatGradient.zeros(params.layout(), dtype=params.E.dtype)
-    slices = grad.layout.slices
+    layout = params.layout()
+    values = np.zeros(layout.size, dtype=params.E.dtype)
     for name, arr, weight in blocks:
         if weight != 1.0:
             arr *= weight
-        grad.values[slices[name]] += arr.ravel()
-    return _check_finite(grad, "grad_total")
+        values[layout.slices[name]] += arr.ravel()
+    return _check_finite(values, layout, op)
+
+
+def grad_primary(params: ModelParams, batch) -> np.ndarray:
+    """Exact gradient of primary_loss w.r.t. encoder and classifier blocks.
+
+    Predictor-head blocks of the result are exactly zero: the classification
+    path never touches them.
+    """
+    return _gradient(params, _labelled(params, batch), None, 0.0, "grad_primary")
+
+
+def grad_total(params: ModelParams, support_batch, masked_support,
+               aux_weight: float) -> np.ndarray:
+    """Exact gradient of total_loss over all parameter blocks."""
+    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
+    return _gradient(params, packed, masked, aux_weight, "grad_total")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ fixture and dominate the suite's runtime (several minutes). Run with
 
 import dataclasses
 import json
+import os
+import sys
 import time
 from dataclasses import replace
 
@@ -51,6 +53,10 @@ from metatext.model import (
 
 from test_gradients import random_instance
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+from workloads import FIXTURE_CONFIG, FIXTURE_CORPUS, FIXTURE_SPLIT  # noqa: E402
+
 
 def report(num, name, ok, detail=""):
     line = f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}"
@@ -66,21 +72,15 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def bench(tmp_path_factory):
+    """The benchmark's fixture corpus, split and config (bench/workloads.py),
+    imported, not copied."""
     root = tmp_path_factory.mktemp("bench")
     corpus = root / "corpus.jsonl"
     split = root / "split.json"
-    names = gen_synthetic(corpus, num_classes=45, docs_per_class=10,
-                          tokens_per_class=8, overlap=0.5,
-                          doc_len_range=(6, 12), seed=0)
-    write_split_file(split, names, 30, 5, 10)
-    config = ExperimentConfig(
-        method="amgs", n_way=5, k_shot=1, query_per_class=5,
-        inner_steps=5, inner_lr=1.5, meta_lr=0.05,
-        aux_weight=0.1, d_emb=32, d_h=32, max_len=32,
-        episodes_per_epoch_train=13, episodes_per_epoch_val=50,
-        meta_batch_size=8, test_episodes=200, patience=5, max_epochs=12,
-        fine_tune_steps=20, seeds=(1, 2, 3, 4, 5),
-        corpus_path=str(corpus), split_path=str(split))
+    names = gen_synthetic(corpus, seed=0, **FIXTURE_CORPUS)
+    write_split_file(split, names, *FIXTURE_SPLIT)
+    config = ExperimentConfig(method="amgs", seeds=(1, 2, 3, 4, 5), corpus_path=str(corpus),
+                              split_path=str(split), **FIXTURE_CONFIG)
     return {"root": root, "config": config}
 
 
@@ -118,7 +118,7 @@ def test_criterion_1_gradient_oracle():
              grad_total(params, batch, masked, 1e-3)),
         )
         for loss_fn, grad in cases:
-            worst = max(worst, max_rel_err(grad.values, central_diff(loss_fn, params)))
+            worst = max(worst, max_rel_err(grad, central_diff(loss_fn, params)))
     elapsed = time.monotonic() - t0
     report(1, "gradient oracle", worst < 1e-5 and elapsed < 10.0,
            f"max rel err {worst:.2e}, {elapsed:.1f}s over 20 instances x 3 losses")
@@ -168,14 +168,14 @@ def test_criterion_2_gate_soundness(bench, support_term):
         for i, ep in enumerate(eps):
             adapt = inner_adapt(state.psi, ep, cfg, rng_oracle)
             g_qry = grad_primary(adapt.theta_hat, ep.query)
-            cos, gate_open = gate(adapt.g_sup, g_qry, cfg.gate_threshold)
+            cos, gate_open = gate(adapt.g_sup, g_qry, state.psi.layout(), cfg.gate_threshold)
             assert cos == rep.cos_values[i]
             if cfg.support_term == "first_step":
-                expected_grad += adapt.first_grad.values
+                expected_grad += adapt.first_grad
             else:
                 expected_grad += (state.psi.to_flat() - adapt.theta_hat.to_flat()) / cfg.inner_lr
             if gate_open:
-                expected_grad += g_qry.values
+                expected_grad += g_qry
                 n_open += 1
             else:
                 closed_idx.append(i)
@@ -223,9 +223,9 @@ def test_criterion_3_reductions():
         theta = psi.to_flat()
         for _ in range(4):
             theta = theta - 0.3 * grad_total(ModelParams.from_flat(theta, layout),
-                                             ep.support, None, 0.0).values
+                                             ep.support, None, 0.0)
         g_qry = grad_primary(ModelParams.from_flat(theta, layout), ep.query)
-        return psi.to_flat() - 0.07 * g_qry.values
+        return psi.to_flat() - 0.07 * g_qry
 
     eps = episodes(5)
     # The gated step under the FOMAML settings, and fomaml_step on a config
@@ -252,7 +252,7 @@ def test_criterion_3_reductions():
     worst_reptile = 0.0
     for i, ep in enumerate(eps):
         expected = s_rep.psi.to_flat() - 0.07 * grad_total(
-            s_rep.psi, ep.support, None, 0.0).values
+            s_rep.psi, ep.support, None, 0.0)
         s_rep, _ = reptile_step(s_rep, [ep], np.random.default_rng(i))
         worst_reptile = max(worst_reptile, float(np.abs(
             s_rep.psi.to_flat() - expected).max()))

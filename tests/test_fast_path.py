@@ -79,15 +79,15 @@ def test_packed_batch_matches_pairs_bitwise(cfg, seed, size, aux_weight):
         "primary": lambda p: primary_loss(p, pairs),
         "aux": lambda p: aux_loss(p, fresh()),
         "total": lambda p: total_loss(p, pairs, fresh(), aux_weight),
-        "grad_primary": lambda p: grad_primary(p, pairs).values,
-        "grad_total": lambda p: grad_total(p, pairs, fresh(), aux_weight).values,
+        "grad_primary": lambda p: grad_primary(p, pairs),
+        "grad_total": lambda p: grad_total(p, pairs, fresh(), aux_weight),
     }
     on_shared = {
         "primary": lambda p: primary_loss(p, packed),
         "aux": lambda p: aux_loss(p, masked),
         "total": lambda p: total_loss(p, packed, masked, aux_weight),
-        "grad_primary": lambda p: grad_primary(p, packed).values,
-        "grad_total": lambda p: grad_total(p, packed, masked, aux_weight).values,
+        "grad_primary": lambda p: grad_primary(p, packed),
+        "grad_total": lambda p: grad_total(p, packed, masked, aux_weight),
     }
     a, b = cfg.init_params(rng), cfg.init_params(rng)
     # Equal values in another object, over another vector.
@@ -175,13 +175,34 @@ def test_plan_follows_the_params_dtype():
 
     for params in (p32, p64, p32):
         for w in (0.0, 0.3, 1.0):
-            got = grad_total(params, packed, masked, w).values
+            got = grad_total(params, packed, masked, w)
             assert got.dtype == params.E.dtype
-            assert same_bits(got, grad_total(params, pairs, fresh(), w).values)
+            assert same_bits(got, grad_total(params, pairs, fresh(), w))
             assert same_bits(total_loss(params, packed, masked, w),
                              total_loss(params, pairs, fresh(), w))
         assert same_bits(primary_loss(params, packed)[1], primary_loss(params, pairs)[1])
         assert same_bits(aux_loss(params, masked), aux_loss(params, fresh()))
+
+
+@pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
+def test_plan_follows_the_params_layout(aux_weight):
+    """A batch's plan is rebuilt when the parameters' layout changes: a
+    PackedBatch and a MaskedBatch first used at vocabulary 8 give, at a larger
+    vocabulary and then a smaller one with the same widths, the gradient bits
+    of fresh batches (a plan kept from vocabulary 8 would scatter PAD rows
+    into row 8 of dE at vocabulary 12)."""
+    rng = np.random.default_rng(5)
+    pairs = random_pairs(rng, ModelConfig(vocab_size=6, d_emb=4, d_h=3, n_way=3), 4)
+    masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=0.5, vocab_size=6)
+    packed = PackedBatch.pack(pairs)
+
+    def fresh():
+        return MaskedBatch(sequences=masked.sequences, targets=masked.targets)
+
+    for vocab_size in (8, 12, 6):
+        params = ModelConfig(vocab_size=vocab_size, d_emb=4, d_h=3, n_way=3).init_params(rng)
+        assert same_bits(grad_total(params, packed, masked, aux_weight),
+                         grad_total(params, pairs, fresh(), aux_weight)), vocab_size
 
 
 @pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
@@ -229,7 +250,7 @@ def test_from_flat_blocks_are_views_equal_to_copies(cfg, seed):
         block = getattr(params, name)
         assert np.shares_memory(block, params.flat)
         assert same_bits(block, flat[offset : offset + length].reshape(shape).copy())
-        assert layout.block_slice(name) == slice(offset, offset + length)
+        assert layout.slices[name] == slice(offset, offset + length)
     again = params.to_flat()
     assert not np.shares_memory(again, flat)
     assert same_bits(again, flat)
@@ -460,7 +481,7 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
     params = cfg.init_params(rng)
     if zero_w1:
         flat = params.to_flat()
-        flat[params.layout().block_slice("W1")] = -0.0
+        flat[params.layout().slices["W1"]] = -0.0
         params = ModelParams.from_flat(flat, params.layout())
     packed = PackedBatch.pack(random_pairs(rng, cfg, size))
     fw = fast_forward(params, packed.tokens, packed.mask)
@@ -520,7 +541,8 @@ def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
     masked-token task alone) grad_total scales each block of that branch's
     own gradient in place by the branch's weight and adds it into zeros:
     bitwise zeros + weight * block, so a -0.0 entry still comes out +0.0.
-    grad_primary assigns its blocks, so -0.0 entries keep their sign."""
+    grad_primary goes through the same assembly at weight 1, and its
+    predictor blocks stay exactly zero."""
     aux_weight, with_mask = branch
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
@@ -544,18 +566,19 @@ def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_grad_blocks", with_signed_zeros)
-        got = grad_total(params, packed, masked if with_mask else None, aux_weight).values
-        got_primary = grad_primary(params, packed).values
+        got = grad_total(params, packed, masked if with_mask else None, aux_weight)
+        got_primary = grad_primary(params, packed)
     total_blocks, primary_blocks = handed
     assert sorted(name for name, _, _ in total_blocks) == sorted(names)
     assert all(w == weight for _, _, w in total_blocks)
 
     want = np.zeros(layout.size)
     for name, arr, _ in total_blocks:
-        want[layout.block_slice(name)] += weight * arr.ravel()
+        want[layout.slices[name]] += weight * arr.ravel()
+    assert all(w == 1.0 for _, _, w in primary_blocks)
     want_primary = np.zeros(layout.size)
     for name, arr, _ in primary_blocks:
-        want_primary[layout.block_slice(name)] = arr.ravel()
+        want_primary[layout.slices[name]] += arr.ravel()
     assert same_bits(got, want)
     assert same_bits(got_primary, want_primary)
 
@@ -581,8 +604,8 @@ def per_branch_total(params, pairs, masked, aux_weight):
     for names, blocks, w in ((model.PRIMARY_BLOCKS, primary, 1.0 - aux_weight),
                              (model.ENCODER_BLOCKS + model.PREDICTOR_BLOCKS, aux, aux_weight)):
         for name, arr in zip(names, blocks):
-            grad[layout.block_slice(name)] += w * arr.ravel()
-            scale[layout.block_slice(name)] += np.abs(w * arr.ravel())
+            grad[layout.slices[name]] += w * arr.ravel()
+            scale[layout.slices[name]] += np.abs(w * arr.ravel())
     return (1.0 - aux_weight) * loss + aux_weight * aux_pass[2], grad, scale, aux_pass[2]
 
 
@@ -610,10 +633,10 @@ def test_stacked_pass_matches_per_branch_assembly(cfg, seed, size, aux_weight, m
     want_loss, want_grad, scale, want_aux = per_branch_total(params, pairs, masked, aux_weight)
     packed = PackedBatch.pack(pairs)
     got_loss = total_loss(params, packed, masked, aux_weight)
-    got_grad = grad_total(params, packed, masked, aux_weight).values
+    got_grad = grad_total(params, packed, masked, aux_weight)
     layout = params.layout()
     for name in model.BLOCK_NAMES:
-        sl = layout.block_slice(name)
+        sl = layout.slices[name]
         assert close(got_grad[sl], want_grad[sl], scale[sl]), name
     assert close(got_loss, want_loss) and close(aux_loss(params, masked), want_aux)
 
@@ -625,15 +648,15 @@ def test_finiteness_check_names_the_block(bad):
     naming its block, and entries whose squares overflow do not raise."""
     cfg = ModelConfig(vocab_size=6, d_emb=2, d_h=2, n_way=2)
     layout = cfg.layout()
-    huge = model.FlatGradient(np.full(layout.size, 1e200), layout)
-    assert model._check_finite(huge, "op") is huge
+    huge = np.full(layout.size, 1e200)
+    assert model._check_finite(huge, layout, "op") is huge
     for name, offset, length, _ in layout.blocks:
         for at in (offset, offset + length - 1):
             values = np.full(layout.size, 1e200)
             values[at] = bad
             with pytest.raises(NumericalError, match=f"op produced non-finite entries in "
                                                      f"block {name}$"):
-                model._check_finite(model.FlatGradient(values, layout), "op")
+                model._check_finite(values, layout, "op")
 
 
 @SETTINGS
@@ -648,15 +671,16 @@ def test_gate_views_match_concatenated_blocks(cfg, seed, size):
     masked = MaskedBatch.build([s for s, _ in pairs], rng, vocab_size=cfg.vocab_size)
     g_sup = grad_total(params, pairs, masked, 0.3)
     g_qry = grad_primary(params, random_pairs(rng, cfg, size))
-    a, b = (np.concatenate([g.block(name) for name in model.PRIMARY_BLOCKS])
+    layout = params.layout()
+    a, b = (np.concatenate([g[layout.slices[name]] for name in model.PRIMARY_BLOCKS])
             for g in (g_sup, g_qry))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     want = 0.0 if na < 1e-12 or nb < 1e-12 else float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-    cos, gate_open = meta.gate(g_sup, g_qry)
+    cos, gate_open = meta.gate(g_sup, g_qry, layout)
     assert same_bits(cos, want) and gate_open == (want >= 0.0)
-    assert same_bits(g_sup.norm(model.PRIMARY_BLOCKS), float(na))
-    assert same_bits(g_qry.norm(model.PRIMARY_BLOCKS), float(nb))
-    assert np.shares_memory(g_sup.subset(model.PRIMARY_BLOCKS), g_sup.values)
+    assert same_bits(float(np.linalg.norm(layout.primary(g_sup))), float(na))
+    assert same_bits(float(np.linalg.norm(layout.primary(g_qry))), float(nb))
+    assert np.shares_memory(layout.primary(g_sup), g_sup)
 
 
 def test_fomaml_never_computes_the_accumulated_movement(monkeypatch):

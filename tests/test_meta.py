@@ -23,7 +23,6 @@ from metatext.meta import (
     save_meta_state,
 )
 from metatext.model import (
-    FlatGradient,
     MaskedBatch,
     ModelConfig,
     ModelParams,
@@ -65,7 +64,7 @@ def sgd_config(**kw):
 def test_inner_adapt_single_step_exact(setup):
     _, psi, ep, _ = setup
     res = inner_adapt(psi, ep, adapt_config(0.1, 1, 0.0), np.random.default_rng(0))
-    expected = psi.to_flat() - 0.1 * grad_total(psi, ep.support, None, 0.0).values
+    expected = psi.to_flat() - 0.1 * grad_total(psi, ep.support, None, 0.0)
     assert np.array_equal(res.theta_hat.to_flat(), expected)
     assert len(res.loss_trace) == 1
 
@@ -75,7 +74,7 @@ def test_inner_adapt_zero_rate_is_null_update(setup):
     res = inner_adapt(psi, ep, adapt_config(0.0, 4, 0.0), np.random.default_rng(0))
     assert np.array_equal(res.theta_hat.to_flat(), psi.to_flat())
     assert len(set(res.loss_trace)) == 1
-    assert np.all(res.g_sup.values == 0.0)
+    assert np.all(res.g_sup == 0.0)
 
 
 def test_inner_adapt_matches_independent_loop(setup):
@@ -90,10 +89,10 @@ def test_inner_adapt_matches_independent_loop(setup):
     layout = psi.layout()
     for _ in range(5):
         params = ModelParams.from_flat(flat, layout)
-        flat = flat - 0.2 * grad_total(params, ep.support, masked, 1e-3).values
+        flat = flat - 0.2 * grad_total(params, ep.support, masked, 1e-3)
     assert np.abs(res.theta_hat.to_flat() - flat).max() < 1e-12
     expected_dir = (psi.to_flat() - flat) / 0.2
-    assert np.abs(res.g_sup.values - expected_dir).max() < 1e-12
+    assert np.abs(res.g_sup - expected_dir).max() < 1e-12
 
 
 def test_inner_adapt_first_step_direction(setup):
@@ -101,8 +100,8 @@ def test_inner_adapt_first_step_direction(setup):
     res = inner_adapt(psi, ep, adapt_config(0.1, 3, 0.0, support_direction="first_step"),
                       np.random.default_rng(0))
     g0 = grad_total(psi, ep.support, None, 0.0)
-    assert np.array_equal(res.g_sup.values, g0.values)
-    assert np.array_equal(res.first_grad.values, g0.values)
+    assert np.array_equal(res.g_sup, g0)
+    assert np.array_equal(res.first_grad, g0)
 
 
 def test_inner_adapt_mask_drawn_once_and_reproducible(setup):
@@ -138,26 +137,25 @@ def test_inner_adapt_blowup_reports_later_step(setup):
 def test_gate_identical_and_antiparallel(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    cos, open_ = gate(g, g)
+    cos, open_ = gate(g, g, psi.layout())
     assert cos == 1.0 and open_
-    cos, open_ = gate(g, FlatGradient(-g.values, g.layout))
+    cos, open_ = gate(g, -g, psi.layout())
     assert cos == -1.0 and not open_
 
 
 def test_gate_zero_query_gradient_opens(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    zero = FlatGradient(np.zeros_like(g.values), g.layout)
-    cos, open_ = gate(g, zero)
+    cos, open_ = gate(g, np.zeros_like(g), psi.layout())
     assert cos == 0.0 and open_
 
 
 def test_gate_threshold_semantics(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    cos, open_ = gate(g, g, threshold=1.0)
+    cos, open_ = gate(g, g, psi.layout(), threshold=1.0)
     assert open_  # cos == 1.0 >= 1.0
-    _, open_ = gate(g, g, threshold=1.5)
+    _, open_ = gate(g, g, psi.layout(), threshold=1.5)
     assert not open_
 
 
@@ -166,8 +164,8 @@ def test_gate_positive_scale_invariance(scale, setup):
     _, psi, ep, rng = setup
     g_sup = grad_total(psi, ep.support, None, 0.0)
     g_qry = grad_primary(psi, ep.query)
-    cos0, open0 = gate(g_sup, g_qry)
-    cos1, open1 = gate(g_sup, FlatGradient(scale * g_qry.values, g_qry.layout))
+    cos0, open0 = gate(g_sup, g_qry, psi.layout())
+    cos1, open1 = gate(g_sup, scale * g_qry, psi.layout())
     assert abs(cos0 - cos1) < 1e-12
     assert open0 == open1
 
@@ -176,21 +174,22 @@ def test_gate_ignores_predictor_blocks(setup):
     _, psi, ep, rng = setup
     g_sup = grad_total(psi, ep.support, None, 0.0)
     g_qry = grad_primary(psi, ep.query)
-    noisy = FlatGradient(g_sup.values.copy(), g_sup.layout)
-    sl = g_sup.layout.block_slice("P")
-    noisy.values[sl] = 1e6  # must not affect the cosine
-    cos0, _ = gate(g_sup, g_qry)
-    cos1, _ = gate(noisy, g_qry)
+    noisy = g_sup.copy()
+    noisy[psi.layout().slices["P"]] = 1e6  # must not affect the cosine
+    cos0, _ = gate(g_sup, g_qry, psi.layout())
+    cos1, _ = gate(noisy, g_qry, psi.layout())
     assert cos0 == cos1
 
 
 def test_gate_layout_mismatch(setup):
     cfg, psi, ep, _ = setup
     other = ModelConfig(vocab_size=12, d_emb=5, d_h=3, n_way=3)
-    g1 = FlatGradient.zeros(cfg.layout())
-    g2 = FlatGradient.zeros(other.layout())
+    g1 = np.zeros(cfg.layout().size)
+    g2 = np.zeros(other.layout().size)
     with pytest.raises(ValueError, match="layout"):
-        gate(g1, g2)
+        gate(g1, g2, cfg.layout())
+    with pytest.raises(ValueError, match="layout"):
+        gate(g2, g1, cfg.layout())
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,8 @@ def test_evaluate_episode_invariants(threshold, setup):
                      gate_threshold=threshold)
     res = evaluate_episode(psi, ep, cfg, np.random.default_rng(0))
     assert res.gate_open == (res.cos_value >= threshold)
-    assert np.all(res.g_qry.subset(PREDICTOR_BLOCKS) == 0.0)
+    layout = psi.layout()
+    assert all(np.all(res.g_qry[layout.slices[name]] == 0.0) for name in PREDICTOR_BLOCKS)
     assert len(res.loss_trace) == cfg.inner_steps
     assert -1.0 <= res.cos_value <= 1.0
 
@@ -245,7 +245,7 @@ def test_meta_step_open_gate_matches_hand_assembly(setup):
 
     adapt = inner_adapt(psi, ep, adapt_config(0.1, 2, 1e-3), np.random.default_rng(6))
     g_qry = grad_primary(adapt.theta_hat, ep.query)
-    expected = psi.to_flat() - 0.05 * (adapt.first_grad.values + g_qry.values)
+    expected = psi.to_flat() - 0.05 * (adapt.first_grad + g_qry)
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
 
 
@@ -358,9 +358,9 @@ def test_fomaml_single_step_formula(setup):
     _, psi, ep, _ = setup
     state = MetaState.create(psi, sgd_config(inner_steps=1))
     new, _ = fomaml_step(state, [ep], np.random.default_rng(0))
-    inner = psi.to_flat() - 0.1 * grad_primary(psi, ep.support).values
+    inner = psi.to_flat() - 0.1 * grad_primary(psi, ep.support)
     theta = ModelParams.from_flat(inner, psi.layout())
-    expected = psi.to_flat() - 0.05 * grad_primary(theta, ep.query).values
+    expected = psi.to_flat() - 0.05 * grad_primary(theta, ep.query)
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
 
 
@@ -373,9 +373,9 @@ def test_fomaml_equals_reduced_amgs(setup):
     theta = psi.to_flat()
     for _ in range(2):
         theta = theta - 0.1 * grad_total(ModelParams.from_flat(theta, psi.layout()),
-                                         ep.support, None, 0.0).values
+                                         ep.support, None, 0.0)
     g_qry = grad_primary(ModelParams.from_flat(theta, psi.layout()), ep.query)
-    expected = psi.to_flat() - 0.05 * g_qry.values
+    expected = psi.to_flat() - 0.05 * g_qry
 
     reduced = MetaState.create(psi, sgd_config(aux_weight=0.0, include_support=False,
                                                query_mode="always"))
@@ -424,7 +424,7 @@ def test_reptile_single_step_is_scaled_gradient_descent(setup):
     _, psi, ep, _ = setup
     state = MetaState.create(psi, sgd_config(inner_steps=1))
     new, _ = reptile_step(state, [ep], np.random.default_rng(0))
-    expected = psi.to_flat() - 0.05 * grad_total(psi, ep.support, None, 0.0).values
+    expected = psi.to_flat() - 0.05 * grad_total(psi, ep.support, None, 0.0)
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
 
 
@@ -436,7 +436,7 @@ def test_reptile_small_rate_limit_is_summed_gradient(setup):
     state = MetaState.create(psi, sgd_config(inner_lr=1e-12, inner_steps=t))
     new, _ = reptile_step(state, [ep], np.random.default_rng(0))
     direction = (psi.to_flat() - new.psi.to_flat()) / 0.05
-    target = t * grad_total(psi, ep.support, None, 0.0).values
+    target = t * grad_total(psi, ep.support, None, 0.0)
     rel = np.linalg.norm(direction - target) / np.linalg.norm(target)
     assert rel < 1e-3
 

@@ -10,9 +10,9 @@ from metatext.model import (
     FIRST_REAL_ID,
     MASK_ID,
     PAD_ID,
+    PRIMARY_BLOCKS,
     UNK_ID,
     EncodingError,
-    FlatGradient,
     MaskedBatch,
     ModelConfig,
     ModelParams,
@@ -366,24 +366,21 @@ def test_layout_block_order_and_offsets(small_model_cfg):
     assert layout.size == sum(lengths)
 
 
-def test_flat_gradient_zeros_and_subset(small_model_cfg):
+def test_layout_primary_is_a_read_only_prefix_view(small_model_cfg):
     layout = small_model_cfg.layout()
-    grad = FlatGradient.zeros(layout)
-    assert np.all(grad.values == 0.0)
-    grad.values[:] = np.arange(layout.size, dtype=np.float64)
-    sub = grad.subset(("E", "W1", "b1"))
-    e_len = layout.block_slice("E").stop
-    b1_stop = layout.block_slice("b1").stop
-    assert np.array_equal(sub, grad.values[:b1_stop])
-    assert np.array_equal(grad.block("E"), grad.values[:e_len])
-    # Adjacent blocks come back as a view, others as a copy in layout order.
-    assert np.shares_memory(sub, grad.values)
+    values = np.arange(layout.size, dtype=np.float64)
+    primary = layout.primary(values)
+    c0_stop = layout.slices["c0"].stop
+    assert np.array_equal(primary, values[:c0_stop])
+    assert np.array_equal(primary, np.concatenate([values[layout.slices[name]]
+                                                   for name in PRIMARY_BLOCKS]))
+    # The primary blocks are the layout's prefix, so they come back as a view.
+    assert np.shares_memory(primary, values)
     with pytest.raises(ValueError, match="read-only"):
-        sub[0] = 1.0
-    apart = grad.subset(("C", "E"))
-    assert not np.shares_memory(apart, grad.values)
-    assert np.array_equal(apart, np.concatenate([grad.block("E"), grad.block("C")]))
-    assert grad.subset(()).size == 0
+        primary[0] = 1.0
+    assert values[0] == 0.0
+    with pytest.raises(ValueError, match="layout expects"):
+        layout.primary(values[:-1])
 
 
 def test_params_validate_catches_nonfinite(small_model_cfg):
@@ -458,8 +455,8 @@ def test_float32_mode_preserves_dtype():
     assert logits.dtype == np.float32 and np.isfinite(loss)
     from metatext.model import grad_total
     grad = grad_total(params, ep.support, None, 0.0)
-    assert grad.values.dtype == np.float32
-    assert np.all(np.isfinite(grad.values))
+    assert grad.dtype == np.float32
+    assert np.all(np.isfinite(grad))
 
 
 def test_ops_do_not_mutate_params(small_model_cfg):

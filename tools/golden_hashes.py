@@ -11,7 +11,8 @@ from SEED, and run_training is called once per method and per training seed
 (the first two of the workload's seeds) with an output directory. On sweep_k1
 the variants of the gated update run too: amgs_que, amgs_sup, amgs_que_sup,
 reptile with reptile_use_query, amgs with support_term and with
-support_direction set to first_step, and amgs_sup with both. Each line reads
+support_direction set to first_step, amgs_sup with both, and amgs with
+aux_weight 1.0 (the masked-token branch alone). Each line reads
 `sha256  workload/method/seed/file`. With --keep DIR the output tree is
 written under DIR (one DIR/workload/label-seed/ per call) and kept, so that
 tools/output_drift.py can compare two trees whose bits differ. BLAS and
@@ -49,6 +50,7 @@ SWEEP_VARIANTS = (
     ("amgs+direction_first", "amgs", dict(support_direction="first_step")),
     ("amgs_sup+both_first", "amgs_sup",
      dict(support_term="first_step", support_direction="first_step")),
+    ("amgs+aux_only", "amgs", dict(aux_weight=1.0)),
 )
 
 
