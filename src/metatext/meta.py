@@ -20,7 +20,10 @@ and logged (meta_step only) and whether the query set joins the inner batch
 One routine, _descend, runs the support-set descent of both the inner loop
 (inner_adapt) and test-time fine-tuning (fine_tune): it reads the rate and the
 masking settings from a MetaConfig and draws the mask once, only when the
-masked-token term is on.
+masked-token term is on. It descends on the entries of psi the support set
+reaches (its _WorkingSet) and writes them back into one copy of psi at the
+end; every other entry has a zero gradient on every step, so the result is
+bitwise that of a descent on all of psi.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    PAD_ID,
     MaskedBatch,
     ModelParams,
     NumericalError,
@@ -131,29 +135,99 @@ class MetaState:
                    step_count=0, cfg=cfg)
 
 
+@dataclass(eq=False, slots=True)
+class _WorkingSet:
+    """The entries of a full parameter layout that one descent reads and
+    moves, as a compact layout of their own: the E rows in rows (ascending,
+    PAD's always among them so that it keeps id 0), then W1, b1, C and c0,
+    then P and p0 when the masked-token branch runs (else the compact layout
+    gives them no rows). Everything after E is one contiguous run in both
+    layouts, starting at W1."""
+
+    rows: np.ndarray
+    full: ParamLayout
+    compact: ParamLayout
+
+    @classmethod
+    def build(cls, psi: ModelParams, batch: PackedBatch, masked: MaskedBatch | None
+              ) -> tuple[_WorkingSet, PackedBatch, MaskedBatch | None]:
+        """The working set of a descent from psi on batch, plus masked when
+        the masked-token branch runs (None otherwise), with both batches
+        renumbered onto its rows; the targets keep their vocabulary ids, which
+        P's full rows score."""
+        present = np.zeros(psi.vocab_size, dtype=bool)
+        present[PAD_ID] = True
+        present[batch.tokens] = True
+        if masked is not None:
+            for seq in masked.sequences:
+                present[seq] = True
+        rows = np.flatnonzero(present)
+        renumber = np.cumsum(present) - 1
+        compact = ParamLayout.build(rows.size, psi.d_emb, psi.d_h, psi.n_way,
+                                    0 if masked is None else psi.P.shape[0])
+        batch = PackedBatch(renumber[batch.tokens], batch.mask, batch.labels)
+        if masked is not None:
+            masked = MaskedBatch(sequences=[renumber[seq] for seq in masked.sequences],
+                                 targets=masked.targets)
+        return cls(rows=rows, full=psi.layout(), compact=compact), batch, masked
+
+    def _tails(self) -> tuple[slice, slice]:
+        """The run after E, in the full layout and in the compact one."""
+        e_size = self.compact.slices["E"].stop
+        start = self.full.slices["W1"].start
+        return slice(start, start + self.compact.size - e_size), slice(e_size, None)
+
+    def gather(self, psi: ModelParams) -> ModelParams:
+        """psi's working-set entries, in a new vector in the compact layout."""
+        values = np.empty(self.compact.size, dtype=psi.flat.dtype)
+        full_tail, tail = self._tails()
+        np.take(psi.E, self.rows, axis=0,
+                out=values[self.compact.slices["E"]].reshape(self.rows.size, -1))
+        values[tail] = psi.flat[full_tail]
+        return ModelParams.from_flat(values, self.compact)
+
+    def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, a flat vector in the full layout, with a compact vector's
+        entries written over the working set's."""
+        full_tail, tail = self._tails()
+        rows = values[self.compact.slices["E"]].reshape(self.rows.size, -1)
+        out[self.full.slices["E"]].reshape(-1, rows.shape[1])[self.rows] = rows
+        out[full_tail] = values[tail]
+        return out
+
+
 @dataclass
 class AdaptResult:
     """One episode's inner loop from psi under cfg and, after
     evaluate_episode, its query side.
 
-    accumulated is the movement (psi - theta_hat)/inner_lr (zero at a zero
-    rate), computed on first read: FOMAML reads neither it nor g_sup. g_sup,
-    which the cosine compares against, is it or first_grad, per
-    cfg.support_direction. Query fields stay None where no query gradient was
-    taken; the predictor-head blocks of g_qry are exactly zero whenever it
-    exists.
+    The descent moved work's entries of psi, and first_step is its first
+    gradient in work's compact layout. first_grad (that gradient in psi's
+    layout, zero off the working set) and accumulated (the movement
+    (psi - theta_hat)/inner_lr, zero at a zero rate) are computed on first
+    read: FOMAML reads neither. g_sup, which the cosine compares against, is
+    accumulated or first_grad, per cfg.support_direction. Query fields stay
+    None where no query gradient was taken; the predictor-head blocks of
+    g_qry are exactly zero whenever it exists, and norms holds the
+    primary-block norms of g_sup and g_qry that the gate took.
     """
 
     psi: ModelParams
     cfg: MetaConfig
     theta_hat: ModelParams
-    first_grad: np.ndarray  # gradient of the total loss at the start point
+    work: _WorkingSet
+    first_step: np.ndarray
     loss_trace: list
     masked: MaskedBatch | None
     g_qry: np.ndarray | None = None
     query_loss: float | None = None
     cos_value: float | None = None
     gate_open: bool | None = None
+    norms: tuple[float, float] | None = None
+
+    @functools.cached_property
+    def first_grad(self) -> np.ndarray:
+        return self.work.scatter(self.first_step, np.zeros_like(self.psi.flat))
 
     @functools.cached_property
     def accumulated(self) -> np.ndarray:
@@ -201,30 +275,39 @@ class StepReport:
 def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: MetaConfig,
              rng: np.random.Generator, masked: MaskedBatch | None = None):
     """Gradient descent from psi on the total loss over a support set at
-    cfg.inner_lr, with the batch packed once and the mask (drawn here under
-    cfg's settings when aux_weight > 0, unless passed in) fixed across steps.
-    Returns (adapted params, first gradient, loss trace, masked batch)."""
+    cfg.inner_lr, with the mask (drawn here under cfg's settings and psi's
+    full vocabulary when aux_weight > 0, unless passed in) fixed across
+    steps. The steps run on the working set, gathered and renumbered once,
+    and the result is scattered into one copy of psi. Returns (adapted
+    params, working set, first gradient in its compact layout, loss trace,
+    masked batch)."""
     if aux_weight > 0.0 and masked is None:
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
-    batch = PackedBatch.pack(support)
-    layout = psi.layout()
-    params = psi
+    # The masked-token branch runs under the same condition as in total_loss.
+    aux = masked if aux_weight > 0.0 and masked is not None and masked.num_targets else None
+    work, batch, aux = _WorkingSet.build(psi, PackedBatch.pack(support), aux)
+    params = work.gather(psi)
     first = None
     trace = []
     for s in range(1, steps + 1):
-        loss = total_loss(params, batch, masked, aux_weight)
+        loss = total_loss(params, batch, aux, aux_weight)
         if not np.isfinite(loss):
             raise InnerLoopError(f"non-finite inner loss at step {s}", step=s)
         trace.append(loss)
-        g = grad_total(params, batch, masked, aux_weight)
+        g = grad_total(params, batch, aux, aux_weight)
+        # params.flat - inner_lr * g in one vector: the product is written
+        # into g (into a new vector while g is the first gradient, which is
+        # kept) and the difference taken in place.
+        step = np.multiply(g, cfg.inner_lr, out=None if first is None else g)
         if first is None:
             first = g
-        # params.flat - inner_lr * g in one new vector: the product is written
-        # into it and the difference taken in place.
-        flat = np.multiply(g, cfg.inner_lr)
-        params = ModelParams.from_flat(np.subtract(params.flat, flat, out=flat), layout)
-    return params, first, trace, masked
+        params = ModelParams.from_flat(np.subtract(params.flat, step, out=step), work.compact)
+    # The batches' memo holds the last step's start point; it goes before the
+    # copy of psi is made.
+    del batch, aux
+    theta = ModelParams.from_flat(work.scatter(params.flat, psi.flat.copy()), psi.layout())
+    return theta, work, first, trace, masked
 
 
 def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Generator, *,
@@ -237,15 +320,17 @@ def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Gener
     """
     if cfg.inner_steps < 1:
         raise ValueError("inner_steps must be at least 1")
-    theta_hat, first, trace, masked = _descend(psi, episode.support, cfg.inner_steps,
-                                               cfg.aux_weight, cfg, rng, masked)
-    return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta_hat, first_grad=first,
+    theta_hat, work, first, trace, masked = _descend(psi, episode.support, cfg.inner_steps,
+                                                     cfg.aux_weight, cfg, rng, masked)
+    return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta_hat, work=work, first_step=first,
                        loss_trace=trace, masked=masked)
 
 
 def gate(g_sup: np.ndarray, g_qry: np.ndarray, layout: ParamLayout, threshold: float = 0.0,
-         eps: float = 1e-12) -> tuple[float, bool]:
-    """Cosine between support and query gradients over layout's primary blocks.
+         eps: float = 1e-12) -> tuple[float, bool, tuple[float, float]]:
+    """Cosine between support and query gradients over layout's primary
+    blocks, whether it opens the gate, and the two primary-block norms it was
+    taken with: (cos, open, (norm of g_sup, norm of g_qry)).
 
     The predictor-head blocks are excluded: the query gradient is structurally
     zero there and would only drag the cosine toward zero. Degenerate norms
@@ -260,7 +345,7 @@ def gate(g_sup: np.ndarray, g_qry: np.ndarray, layout: ParamLayout, threshold: f
         cos = 0.0
     else:
         cos = float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-    return cos, cos >= threshold
+    return cos, cos >= threshold, (float(na), float(nb))
 
 
 def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
@@ -299,8 +384,8 @@ def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
         res.query_loss, _ = primary_loss(res.theta_hat, query)
         res.g_qry = grad_primary(res.theta_hat, query)
         if cosine:
-            res.cos_value, res.gate_open = gate(res.g_sup, res.g_qry, psi.layout(),
-                                                cfg.gate_threshold)
+            res.cos_value, res.gate_open, res.norms = gate(res.g_sup, res.g_qry,
+                                                           psi.layout(), cfg.gate_threshold)
     return res
 
 
@@ -329,12 +414,13 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
             or (cfg.query_mode == "gated" and res.gate_open))
         if include_query:
             meta_grad += res.g_qry
+        # The gate's norms where it ran; else each norm the report shows.
+        norms = res.norms or (
+            float(np.linalg.norm(layout.primary(res.g_sup))) if cosine else None,
+            float(np.linalg.norm(layout.primary(res.g_qry))) if res.g_qry is not None else None)
         rows.append((res.cos_value, res.gate_open if res.g_qry is not None else None,
                      include_query or query_in_inner, res.loss_trace[-1], res.query_loss,
-                     float(np.linalg.norm(layout.primary(res.g_sup))) if cosine else None,
-                     (float(np.linalg.norm(layout.primary(res.g_qry)))
-                      if res.g_qry is not None else None),
-                     res.masked.num_targets if res.masked is not None else 0))
+                     *norms, res.masked.num_targets if res.masked is not None else 0))
     new_state = _apply_update(state, meta_grad)
     return new_state, StepReport(new_state.step_count, *map(list, zip(*rows)),
                                  meta_grad_norm=float(np.linalg.norm(meta_grad)))

@@ -14,6 +14,11 @@ Parameter blocks, in fixed flat order:
     c0 (n_way,)         classifier bias         /
     P  (vocab, d_h)     token predictor weights \  auxiliary head
     p0 (vocab,)         token predictor bias    /
+
+A layout may give E and P different row counts: a descent on a support set
+works on a compact layout holding only the E rows its batches read, with P
+and p0 at full vocabulary when the masked-token branch runs and at no rows
+otherwise (see meta._descend).
 """
 
 from __future__ import annotations
@@ -59,17 +64,18 @@ class ParamLayout:
 
     @classmethod
     @functools.cache
-    def build(cls, vocab_size: int, d_emb: int, d_h: int, n_way: int) -> "ParamLayout":
-        """The layout for these shapes; memoised, so equal shapes share one
-        instance."""
+    def build(cls, e_rows: int, d_emb: int, d_h: int, n_way: int, p_rows: int) -> "ParamLayout":
+        """The layout for these shapes, E over e_rows token rows and P and p0
+        over p_rows (both the vocabulary size but in a descent's compact
+        layout); memoised, so equal shapes share one instance."""
         shapes = {
-            "E": (vocab_size, d_emb),
+            "E": (e_rows, d_emb),
             "W1": (d_h, 2 * d_emb),
             "b1": (d_h,),
             "C": (n_way, d_h),
             "c0": (n_way,),
-            "P": (vocab_size, d_h),
-            "p0": (vocab_size,),
+            "P": (p_rows, d_h),
+            "p0": (p_rows,),
         }
         blocks = []
         offset = 0
@@ -109,7 +115,8 @@ class ModelConfig:
             raise ValueError("dtype must be 'float64' or 'float32'")
 
     def layout(self) -> ParamLayout:
-        return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
+        return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way,
+                                 self.vocab_size)
 
     def zeros(self) -> "ModelParams":
         return ModelParams.from_flat(np.zeros(self.layout().size, dtype=self.dtype), self.layout())
@@ -130,9 +137,9 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     """Partitioned parameter store: the seven blocks are reshaped views into
-    flat, and from_flat is the one way to build an instance. Treat instances
-    as immutable; ops never mutate, and batches memoise passes by the identity
-    of the instance."""
+    flat, laid out by the layout from_flat was given, and from_flat is the one
+    way to build an instance. Treat instances as immutable; ops never mutate,
+    and batches memoise passes by the identity of the instance."""
 
     E: np.ndarray
     W1: np.ndarray
@@ -142,9 +149,11 @@ class ModelParams:
     P: np.ndarray
     p0: np.ndarray
     flat: np.ndarray = field(repr=False)
+    flat_layout: ParamLayout = field(repr=False)
 
     @property
     def vocab_size(self) -> int:
+        """E's row count: the vocabulary size, or a compact layout's rows."""
         return self.E.shape[0]
 
     @property
@@ -160,12 +169,7 @@ class ModelParams:
         return self.C.shape[0]
 
     def layout(self) -> ParamLayout:
-        return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way)
-
-    def validate(self) -> None:
-        for name in BLOCK_NAMES:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"block {name} contains non-finite entries")
+        return self.flat_layout
 
     def to_flat(self) -> np.ndarray:
         """A copy of the flat vector."""
@@ -177,8 +181,9 @@ class ModelParams:
         caller hands over a vector that nothing writes afterwards."""
         if flat.shape != (layout.size,):
             raise ValueError(f"flat vector has length {flat.shape}, layout expects {layout.size}")
-        return cls(flat=flat, **{name: flat[offset : offset + length].reshape(shape)
-                                 for name, offset, length, shape in layout.blocks})
+        # The blocks in BLOCK_NAMES order, which is the fields' order.
+        return cls(*[flat[offset : offset + length].reshape(shape)
+                     for _, offset, length, shape in layout.blocks], flat, layout)
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.layout())
@@ -322,8 +327,9 @@ class _Plan:
     stacked: MaskedBatch | None
     counts: np.ndarray   # (B,) non-PAD tokens per sequence, in the params' dtype
     pool: np.ndarray     # (B, 1, L) pooling weights mask / counts
-    # (B * L,) token id * d_emb at each position, and E.size at PAD: the
-    # embedding scatter's base index, which sends PAD rows past dE.
+    # (B * L * d_emb,) token id * d_emb + column at each position and column,
+    # and E.size + column at PAD: the embedding scatter's index into flat E,
+    # which sends PAD rows past dE.
     index: np.ndarray
 
     @classmethod
@@ -334,7 +340,8 @@ class _Plan:
             bad = int(np.flatnonzero(counts == 0)[0])
             raise EncodingError(f"sequence {bad if bad < split else bad - split} "
                                 "is empty after PAD removal")
-        index = np.where(mask, tokens * params.d_emb, params.E.size).ravel()
+        base = np.where(mask, tokens * params.d_emb, params.E.size)
+        index = (base[..., None] + np.arange(params.d_emb)).ravel()
         return cls(tokens=tokens, layout=params.layout(), split=split, stacked=stacked,
                    counts=counts, pool=(mask / counts[:, None])[:, None, :], index=index)
 
@@ -545,83 +552,50 @@ def total_loss(params: ModelParams, support_batch, masked_support,
 # analytic gradients
 
 
-def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray):
-    """Push a gradient on the per-token hidden states back to E, W1, b1.
+def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray) -> np.ndarray:
+    """Push a gradient on the per-token hidden states back to E, W1, b1: a new
+    flat vector in params' layout with those blocks written and the others
+    left for the caller to write. It is allocated once the embedding
+    scatter's temporaries are gone.
 
-    d_hidden must already be zero at PAD positions.
+    d_hidden must already be zero at PAD positions. It is overwritten with
+    the gradient on the pre-activations, so that no array of its size outlives
+    this line besides it.
     """
     d_emb, d_h = params.d_emb, params.d_h
     w_tok = params.W1[:, :d_emb]
     w_ctx = params.W1[:, d_emb:]
+    layout = params.layout()
 
-    d_pre = fw.hidden ** 2                                       # (B, L, Dh)
-    np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= d_hidden
-    d_pre_sum = d_pre.sum(axis=1)                                # (B, Dh)
+    tanh_grad = fw.hidden ** 2
+    d_pre = d_hidden                                             # (B, L, Dh)
+    d_pre *= np.subtract(1.0, tanh_grad, out=tanh_grad)
+    del tanh_grad
+    d_pre_sum = np.add.reduce(d_pre, axis=1)                     # (B, Dh)
 
-    # d_pre and emb are fresh C-contiguous arrays, so both reshapes are views.
-    dW_tok = d_pre.reshape(-1, d_h).T @ fw.emb.reshape(-1, d_emb)  # (Dh, De)
-    dW_ctx = d_pre_sum.T @ fw.ctx                                # (Dh, De)
-    dW1 = np.concatenate([dW_tok, dW_ctx], axis=1)
-    db1 = d_pre_sum.sum(axis=0)
-
-    d_emb_direct = d_pre @ w_tok                                 # (B, L, De)
-    d_ctx = d_pre_sum @ w_ctx                                    # (B, De)
     # ctx is the masked mean of embeddings, so its gradient spreads uniformly
     # over non-PAD positions; the scatter below drops the PAD rows.
-    d_emb_total = d_emb_direct + (d_ctx / fw.plan.counts[:, None])[:, None, :]
+    d_emb_total = d_pre @ w_tok                                  # (B, L, De)
+    d_emb_total += ((d_pre_sum @ w_ctx) / fw.plan.counts[:, None])[:, None, :]
 
-    # One bincount over the flat index token * d_emb + column sums each entry
-    # of E in input order from 0.0, as np.add.at into zeros would; PAD rows
-    # land in d_emb bins past E, which are dropped. It sums in float64, and
-    # float32 parameters get the sums rounded once.
-    index = fw.plan.index[:, None] + np.arange(d_emb)
-    dE = np.bincount(index.ravel(), weights=d_emb_total.ravel(),
-                     minlength=params.E.size + d_emb)[:params.E.size].reshape(params.E.shape)
-    return dE.astype(params.E.dtype, copy=False), dW1, db1
+    # One bincount over the plan's flat index token * d_emb + column sums each
+    # entry of E in input order from 0.0, as np.add.at into zeros would; PAD
+    # rows land in d_emb bins past E, which are dropped. It sums in float64,
+    # and float32 parameters get the sums rounded once.
+    dE = np.bincount(fw.plan.index, weights=d_emb_total.ravel(),
+                     minlength=params.E.size + d_emb)
+    del d_emb_total
+    values = np.empty(layout.size, dtype=params.E.dtype)
+    values[layout.slices["E"]] = dE[:params.E.size]
+    del dE
 
-
-def _grad_blocks(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None,
-                 aux_weight: float) -> list:
-    """Gradient of (1 - aux_weight) * classification loss + aux_weight *
-    masked-token loss over the branches _pass runs, as (block name, fresh
-    array, weight left to apply) triples; blocks a branch does not touch are
-    left out. A single branch's blocks are its own loss's gradient, left to
-    be weighted. With both, one backward pass runs over a d_hidden whose rows
-    already carry their branch's weight, and only the head blocks are left."""
-    fw, primary, aux = _pass(params, packed, masked)
-    plan = fw.plan
-    both = primary is not None and aux is not None
-    w_primary, w_aux = 1.0 - aux_weight, aux_weight
-    blocks = []
-    d_hidden = None
-    if primary is not None:
-        d_logits = primary[2]
-        blocks += [("C", d_logits.T @ fw.rep, w_primary),
-                   ("c0", d_logits.sum(axis=0), w_primary)]
-        d_rep = d_logits @ params.C                              # (B, Dh)
-        if both:
-            d_rep *= w_primary
-        pool = plan.pool[:plan.split, 0, :, None]
-        if aux is None:
-            d_hidden = d_rep[:, None, :] * pool
-        else:
-            d_hidden = np.zeros_like(fw.hidden)
-            np.multiply(d_rep[:, None, :], pool, out=d_hidden[:plan.split])
-    if aux is not None:
-        h_tgt, _, d_logits = aux
-        blocks += [("P", d_logits.T @ h_tgt, w_aux), ("p0", d_logits.sum(axis=0), w_aux)]
-        d_h_tgt = d_logits @ params.P                            # (T, Dh)
-        if both:
-            d_h_tgt *= w_aux
-        if d_hidden is None:
-            d_hidden = np.zeros_like(fw.hidden)
-        # The (si, pos) targets are unique, so += adds each row once into 0.0.
-        si, pos, _ = masked.target_arrays
-        d_hidden[si + plan.split, pos] += d_h_tgt
-    w_encoder = 1.0 if both else w_primary if aux is None else w_aux
-    return [*zip(ENCODER_BLOCKS, _backprop_encoder(params, fw, d_hidden),
-                 (w_encoder,) * 3), *blocks]
+    # d_pre and emb are fresh C-contiguous arrays, so both reshapes are views;
+    # each half of dW1 is written in place.
+    dW1 = values[layout.slices["W1"]].reshape(d_h, 2 * d_emb)
+    np.matmul(d_pre.reshape(-1, d_h).T, fw.emb.reshape(-1, d_emb), out=dW1[:, :d_emb])
+    np.matmul(d_pre_sum.T, fw.ctx, out=dW1[:, d_emb:])
+    np.add.reduce(d_pre_sum, axis=0, out=values[layout.slices["b1"]])
+    return values
 
 
 def _check_finite(values: np.ndarray, layout: ParamLayout, op: str) -> np.ndarray:
@@ -639,19 +613,64 @@ def _check_finite(values: np.ndarray, layout: ParamLayout, op: str) -> np.ndarra
 
 def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None,
               aux_weight: float, op: str) -> np.ndarray:
-    """The flat gradient of _grad_blocks' branches, checked finite for op."""
-    blocks = _grad_blocks(params, packed, masked, aux_weight)
-    # The zero vector comes only now that the backward pass has freed its
-    # temporaries. Blocks are added into it, not assigned: 0.0 + x turns a
-    # -0.0 entry into +0.0, and the outputs depend on those bits. Each block
-    # is a fresh array, so it is weighted in place; at weight 1.0 scaling
-    # would leave every bit as it is.
+    """The flat gradient of (1 - aux_weight) * classification loss +
+    aux_weight * masked-token loss over the branches _pass runs, checked
+    finite for op.
+
+    The encoder's backward pass allocates the one vector; each block's
+    product is written into its slice, and the blocks no branch touches are
+    zero-filled. A single branch's blocks are its own loss's gradient, scaled
+    by the branch's weight in place (skipped at weight 1.0). With both, one
+    backward pass runs over a d_hidden whose rows already carry their
+    branch's weight, and only the head blocks are scaled. A last 0.0 + x over
+    the vector turns -0.0 into +0.0, as adding the blocks into a zero vector
+    did: the outputs depend on those bits."""
+    fw, primary, aux = _pass(params, packed, masked)
+    plan = fw.plan
     layout = params.layout()
-    values = np.zeros(layout.size, dtype=params.E.dtype)
-    for name, arr, weight in blocks:
+    both = primary is not None and aux is not None
+    d_hidden = None
+    if primary is not None:
+        d_rep = primary[2] @ params.C                            # (B, Dh)
+        if both:
+            d_rep *= 1.0 - aux_weight
+        pool = plan.pool[:plan.split, 0, :, None]
+        if aux is None:
+            d_hidden = d_rep[:, None, :] * pool
+        else:
+            d_hidden = np.zeros_like(fw.hidden)
+            np.multiply(d_rep[:, None, :], pool, out=d_hidden[:plan.split])
+    if aux is not None:
+        d_h_tgt = aux[2] @ params.P                              # (T, Dh)
+        if both:
+            d_h_tgt *= aux_weight
+        if d_hidden is None:
+            d_hidden = np.zeros_like(fw.hidden)
+        # The (si, pos) targets are unique, so += adds each row once into 0.0.
+        si, pos, _ = masked.target_arrays
+        d_hidden[si + plan.split, pos] += d_h_tgt
+    values = _backprop_encoder(params, fw, d_hidden)
+    # Each head as (weight block, bias block, the branch's weight, and the
+    # branch's d loss/d logits and what its logits were taken from, or None).
+    heads = (("C", "c0", 1.0 - aux_weight, None if primary is None else (primary[2], fw.rep)),
+             ("P", "p0", aux_weight, None if aux is None else (aux[2], aux[0])))
+    for weights, bias, weight, branch in heads:
+        w_block, b_block = values[layout.slices[weights]], values[layout.slices[bias]]
+        if branch is None:
+            w_block.fill(0.0)
+            b_block.fill(0.0)
+            continue
+        d_logits, inputs = branch
+        np.matmul(d_logits.T, inputs, out=w_block.reshape(getattr(params, weights).shape))
+        np.add.reduce(d_logits, axis=0, out=b_block)
+        if both:
+            w_block *= weight
+            b_block *= weight
+    if not both:
+        weight = 1.0 - aux_weight if aux is None else aux_weight
         if weight != 1.0:
-            arr *= weight
-        values[layout.slices[name]] += arr.ravel()
+            values *= weight
+    values += 0.0
     return _check_finite(values, layout, op)
 
 
@@ -707,8 +726,8 @@ def read_checkpoint(path, fmt: str = _PARAMS_FORMAT) -> tuple[dict, ModelParams,
         payload = fh.read()
     if header.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} checkpoint")
-    layout = ParamLayout.build(header["vocab_size"], header["d_emb"],
-                               header["d_h"], header["n_way"])
+    layout = ParamLayout.build(header["vocab_size"], header["d_emb"], header["d_h"],
+                               header["n_way"], header["vocab_size"])
     dtype = np.dtype(header.get("dtype", "float64"))
     n_sections = len(header.get("sections", ["psi"]))
     expected = layout.size * n_sections * dtype.itemsize

@@ -168,7 +168,7 @@ def test_criterion_2_gate_soundness(bench, support_term):
         for i, ep in enumerate(eps):
             adapt = inner_adapt(state.psi, ep, cfg, rng_oracle)
             g_qry = grad_primary(adapt.theta_hat, ep.query)
-            cos, gate_open = gate(adapt.g_sup, g_qry, state.psi.layout(), cfg.gate_threshold)
+            cos, gate_open, _ = gate(adapt.g_sup, g_qry, state.psi.layout(), cfg.gate_threshold)
             assert cos == rep.cos_values[i]
             if cfg.support_term == "first_step":
                 expected_grad += adapt.first_grad

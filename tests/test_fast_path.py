@@ -1,7 +1,8 @@
 """Oracles for the inner loop's fast path: packed and memoising batches
 against (sequence, label) pairs, one forward pass per step, the per-batch
 plan's cache, flat-buffer views against copied blocks, test-time fine-tuning
-against the inner loop, psi left untouched by every step function that adapts
+against the inner loop, the descent on the working set against the plain
+loop on all of psi, psi left untouched by every step function that adapts
 from it, the passes' in-place arithmetic and matmul contractions, the
 backward pass's scatters, the stacked pass of both branches against the
 per-branch assembly, the in-place gradient assembly, the finiteness check and
@@ -21,9 +22,9 @@ from metatext import meta, model
 from metatext.episodes import Episode
 from metatext.meta import (FOMAML_PRESET, MetaConfig, MetaState, evaluate_episode, fine_tune,
                            fomaml_step, inner_adapt, meta_step, reptile_step)
-from metatext.model import (FIRST_REAL_ID, PAD_ID, EncodingError, MaskedBatch, ModelConfig,
-                            ModelParams, NumericalError, PackedBatch, ParamLayout, aux_loss,
-                            grad_primary, grad_total, primary_loss, total_loss)
+from metatext.model import (FIRST_REAL_ID, PAD_ID, UNK_ID, EncodingError, MaskedBatch,
+                            ModelConfig, ModelParams, NumericalError, PackedBatch, ParamLayout,
+                            aux_loss, grad_primary, grad_total, primary_loss, total_loss)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -241,7 +242,8 @@ def test_plan_is_built_once_per_batch(monkeypatch):
 @given(cfg=model_configs, seed=seeds)
 def test_from_flat_blocks_are_views_equal_to_copies(cfg, seed):
     layout = cfg.layout()
-    assert layout is ParamLayout.build(cfg.vocab_size, cfg.d_emb, cfg.d_h, cfg.n_way)
+    assert layout is ParamLayout.build(cfg.vocab_size, cfg.d_emb, cfg.d_h, cfg.n_way,
+                                       cfg.vocab_size)
     flat = np.random.default_rng(seed).normal(size=layout.size)
     params = ModelParams.from_flat(flat, layout)
     assert params.layout() is layout
@@ -289,6 +291,78 @@ def test_fine_tune_is_the_inner_loop(seed, steps, aux_weight):
     theta = fine_tune(psi, ep.support, steps, True, meta_cfg, rng_fine)
     assert same_bits(theta.flat, theta_hat.flat)
     assert rng_fine.bit_generator.state == rng_inner.bit_generator.state
+
+
+def special_pairs(rng, cfg, size):
+    """(sequence, label) pairs of 1-8 ids drawn over the whole vocabulary, PAD,
+    UNK and MASK included, each with a non-PAD id, some with trailing PADs."""
+    pairs = []
+    for _ in range(size):
+        seq = rng.integers(PAD_ID, cfg.vocab_size, size=rng.integers(1, 9))
+        seq[rng.integers(seq.size)] = rng.integers(UNK_ID, cfg.vocab_size)
+        seq = np.concatenate([seq, np.full(rng.integers(0, 3), PAD_ID)])
+        pairs.append((seq, int(rng.integers(cfg.n_way))))
+    return pairs
+
+
+def full_descent(psi, support, steps, aux_weight, cfg, rng):
+    """The descent on all of psi: a plain loop of total_loss and grad_total
+    steps in psi's layout, the mask drawn as _descend draws it. Returns
+    (adapted flat vector, first gradient, loss trace, masked batch)."""
+    masked = None
+    if aux_weight > 0.0:
+        masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
+                                   strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
+    params, first, trace = psi, None, []
+    for _ in range(steps):
+        trace.append(total_loss(params, support, masked, aux_weight))
+        g = grad_total(params, support, masked, aux_weight)
+        first = g if first is None else first
+        params = ModelParams.from_flat(params.flat - cfg.inner_lr * g, psi.layout())
+    return params.flat, first, trace, masked
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=model_configs, seed=seeds, steps=st.integers(1, 4),
+       aux_weight=st.sampled_from([0.0, 0.3, 1.0]),
+       strategy=st.sampled_from([(1.0, 0.0, 0.0), (0.4, 0.2, 0.4)]), use_query=st.booleans())
+def test_descent_on_the_working_set_is_the_full_descent(cfg, seed, steps, aux_weight, strategy,
+                                                         use_query):
+    """inner_adapt descends on the working set (PAD's row and the rows of
+    the ids its batches hold, the dense blocks, and the predictor head only
+    when the masked-token branch runs) and scatters the result back: bitwise
+    the plain loop on all of psi, with the same loss trace, mask and draws
+    from the RNG, and a first_grad that expands to the full first gradient.
+    Sequences hold PAD, UNK and MASK ids, masks replace some targets with
+    random ids, and the support set may be joined by the query set, as
+    reptile_use_query does."""
+    rng = np.random.default_rng(seed)
+    psi = cfg.init_params(rng)
+    ep = Episode(support=special_pairs(rng, cfg, 3), query=special_pairs(rng, cfg, 4),
+                 label_map=tuple(range(cfg.n_way)))
+    if use_query:
+        ep = replace(ep, support=ep.support + ep.query)
+    meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight,
+                          mask_prob=0.5, mask_strategy=strategy)
+    rng_work, rng_full = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    res = inner_adapt(psi, ep, meta_cfg, rng_work)
+    flat, first, trace, masked = full_descent(psi, ep.support, steps, aux_weight, meta_cfg,
+                                              rng_full)
+    assert same_bits(res.theta_hat.flat, flat)
+    assert res.theta_hat.layout() is psi.layout()
+    assert same_bits(res.first_grad, first)
+    assert same_bits(np.array(res.loss_trace), np.array(trace))
+    assert (res.masked is None and masked is None) or res.masked.targets == masked.targets
+    assert rng_work.bit_generator.state == rng_full.bit_generator.state
+
+    ids = {PAD_ID} | {int(t) for seq, _ in ep.support for t in seq}
+    aux_active = masked is not None and masked.num_targets > 0
+    if aux_active:
+        ids |= {int(t) for seq in masked.sequences for t in seq}
+    assert list(res.work.rows) == sorted(ids)
+    assert res.work.compact is ParamLayout.build(len(ids), cfg.d_emb, cfg.d_h, cfg.n_way,
+                                                 cfg.vocab_size if aux_active else 0)
+    assert res.first_step.shape == (res.work.compact.size,)
 
 
 def test_fine_tune_without_steps_draws_nothing():
@@ -409,6 +483,14 @@ def slow_grad_aux_raw(params, masked, aux_pass):
     return d_hidden, (*slow_backprop_encoder(params, masked.packed[0], fw, d_hidden), dP, dp0)
 
 
+def fast_backprop(params, fw, d_hidden):
+    """(dE, dW1, db1) as model._backprop_encoder writes them into its vector,
+    run on a copy of d_hidden, which it overwrites."""
+    values = model._backprop_encoder(params, fw, d_hidden.copy())
+    return tuple(values[params.layout().slices[name]].reshape(getattr(params, name).shape)
+                 for name in model.ENCODER_BLOCKS)
+
+
 def backprop_matches(got, want, fw, d_hidden) -> bool:
     """(dE, dW1, db1) of _backprop_encoder against the slow form's on the same
     pass and d_hidden: dE, db1 and dW1's context half bitwise, its token half
@@ -488,7 +570,7 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
     d_hidden = rng.normal(size=fw.hidden.shape)
     d_hidden[rng.random(d_hidden.shape) < 0.3] = -0.0
     d_hidden *= packed.mask[..., None]
-    got, want = model._backprop_encoder(params, fw, d_hidden), slow_backprop_encoder(
+    got, want = fast_backprop(params, fw, d_hidden), slow_backprop_encoder(
         params, packed.tokens, fw, d_hidden)
     assert backprop_matches(got, want, fw, d_hidden)
 
@@ -502,7 +584,7 @@ def test_embedding_scatter_float32_rounds_once():
     packed = PackedBatch.pack(random_pairs(rng, cfg, 6))
     fw = fast_forward(params, packed.tokens, packed.mask)
     d_hidden = (rng.normal(size=fw.hidden.shape) * packed.mask[..., None]).astype(np.float32)
-    got, want = model._backprop_encoder(params, fw, d_hidden)[0], slow_backprop_encoder(
+    got, want = fast_backprop(params, fw, d_hidden)[0], slow_backprop_encoder(
         params, packed.tokens, fw, d_hidden)[0]
     assert got.dtype == np.float32
     assert np.allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -514,7 +596,8 @@ def test_embedding_scatter_float32_rounds_once():
 def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
     """On the same pass, the masked-token branch's d_hidden scatter
     (fancy-index +=, its (sequence, position) targets being unique) is
-    bitwise np.add.at, and so is every block built on it but dW_tok."""
+    bitwise np.add.at, and so is every block of the gradient built on it but
+    dW_tok, as 0.0 + block."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
@@ -523,14 +606,20 @@ def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
     scattered = []
     backprop = model._backprop_encoder
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_backprop_encoder",
-                   lambda p, fw, d_hidden: scattered.append(d_hidden) or backprop(p, fw, d_hidden))
-        got = [block for _, block, _ in model._grad_blocks(params, None, masked, 1.0)]
+        mp.setattr(model, "_backprop_encoder", lambda p, fw, d_hidden: scattered.append(
+            d_hidden.copy()) or backprop(p, fw, d_hidden))
+        values = model._gradient(params, None, masked, 1.0, "grad_total")
+    layout = params.layout()
+    got = [values[layout.slices[name]].reshape(getattr(params, name).shape)
+           for name in model.ENCODER_BLOCKS + model.PREDICTOR_BLOCKS]
     fw, _, aux = model._pass(params, None, masked)  # the memoised pass got used
     want_d_hidden, want = slow_grad_aux_raw(params, masked, (fw, *aux))
+    want = [block + 0.0 for block in want]
     assert same_bits(scattered[0], want_d_hidden)
     assert same_bits(got[3], want[3]) and same_bits(got[4], want[4])
     assert backprop_matches(got[:3], want[:3], fw, want_d_hidden)
+    assert same_bits(values[layout.slices["C"]], np.zeros(params.C.size))
+    assert same_bits(values[layout.slices["c0"]], np.zeros(params.n_way))
 
 
 @SETTINGS
@@ -538,9 +627,10 @@ def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
        branch=st.sampled_from([(0.0, True), (0.3, False), (1.0, True)]))
 def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
     """On a single branch (classification alone, weighted 1 or 0.7, or the
-    masked-token task alone) grad_total scales each block of that branch's
-    own gradient in place by the branch's weight and adds it into zeros:
-    bitwise zeros + weight * block, so a -0.0 entry still comes out +0.0.
+    masked-token task alone) grad_total writes each block of that branch's
+    own gradient into its slice, scales it there by the branch's weight and
+    zero-fills the other head: bitwise the assembly it replaced, zeros +
+    weight * block for each block, so a -0.0 entry still comes out +0.0.
     grad_primary goes through the same assembly at weight 1, and its
     predictor blocks stay exactly zero."""
     aux_weight, with_mask = branch
@@ -550,37 +640,46 @@ def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
     masked = MaskedBatch.build([s for s, _ in pairs], rng, vocab_size=cfg.vocab_size)
     packed = PackedBatch.pack(pairs)
     layout = params.layout()
-    names, weight = ((model.PRIMARY_BLOCKS, 1.0 - aux_weight) if aux_weight < 1.0
-                     else (model.ENCODER_BLOCKS + model.PREDICTOR_BLOCKS, aux_weight))
+    encoder = slice(0, layout.slices["b1"].stop)
 
-    # The blocks as _grad_blocks hands them out, with -0.0 entries in them;
-    # the helper hands out fresh arrays, and so does the wrapper.
+    # The encoder blocks as _backprop_encoder writes them, with -0.0 entries
+    # put in; n_way 1 gives -0.0 entries in the classifier block.
     handed = []
-    blocks = model._grad_blocks
+    backprop = model._backprop_encoder
 
     def with_signed_zeros(*args):
-        out = blocks(*args)
-        zeroed = with_negative_zeros([arr for _, arr, _ in out], rng)
-        handed.append([(name, arr.copy(), w) for (name, _, w), arr in zip(out, zeroed)])
-        return [(name, arr, w) for (name, _, w), arr in zip(out, zeroed)]
+        values = backprop(*args)
+        values[encoder] = with_negative_zeros([values[encoder]], rng)[0]
+        handed.append(values[encoder].copy())
+        return values
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_grad_blocks", with_signed_zeros)
+        mp.setattr(model, "_backprop_encoder", with_signed_zeros)
         got = grad_total(params, packed, masked if with_mask else None, aux_weight)
         got_primary = grad_primary(params, packed)
-    total_blocks, primary_blocks = handed
-    assert sorted(name for name, _, _ in total_blocks) == sorted(names)
-    assert all(w == weight for _, _, w in total_blocks)
 
-    want = np.zeros(layout.size)
-    for name, arr, _ in total_blocks:
-        want[layout.slices[name]] += weight * arr.ravel()
-    assert all(w == 1.0 for _, _, w in primary_blocks)
-    want_primary = np.zeros(layout.size)
-    for name, arr, _ in primary_blocks:
-        want_primary[layout.slices[name]] += arr.ravel()
+    def assembled(encoder_blocks, pass_, heads, weight):
+        """zeros + weight * block for the encoder blocks and the heads of the
+        (memoised) pass: the weight block is d_logits.T @ inputs and the bias
+        d_logits.sum(axis=0)."""
+        want = np.zeros(layout.size)
+        want[encoder] += weight * encoder_blocks
+        inputs, d_logits = pass_
+        for name, block in zip(heads, (d_logits.T @ inputs, d_logits.sum(axis=0))):
+            want[layout.slices[name]] += weight * block.ravel()
+        return want
+
+    fw, primary, _ = model._pass(params, packed, None)
+    if aux_weight < 1.0:
+        want = assembled(handed[0], (fw.rep, primary[2]), model.CLASSIFIER_BLOCKS,
+                         1.0 - aux_weight)
+    else:
+        h_tgt, _, d_logits = model._pass(params, None, masked)[2]
+        want = assembled(handed[0], (h_tgt, d_logits), model.PREDICTOR_BLOCKS, aux_weight)
+    want_primary = assembled(handed[1], (fw.rep, primary[2]), model.CLASSIFIER_BLOCKS, 1.0)
     assert same_bits(got, want)
     assert same_bits(got_primary, want_primary)
+    assert not np.any(np.signbit(got) & (got == 0.0))
 
 
 def per_branch_total(params, pairs, masked, aux_weight):
@@ -663,8 +762,9 @@ def test_finiteness_check_names_the_block(bad):
 @given(cfg=model_configs, seed=seeds, size=st.integers(1, 6))
 def test_gate_views_match_concatenated_blocks(cfg, seed, size):
     """The gate and the step report read the primary blocks as a view of the
-    flat vector's prefix: the cosine, the decision and both norms are bitwise
-    those of the concatenated copy (n_way 1 gives a zero query gradient)."""
+    flat vector's prefix: the cosine, the decision and both norms (the gate
+    hands its own to the report) are bitwise those of the concatenated copy
+    (n_way 1 gives a zero query gradient)."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
@@ -676,8 +776,9 @@ def test_gate_views_match_concatenated_blocks(cfg, seed, size):
             for g in (g_sup, g_qry))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     want = 0.0 if na < 1e-12 or nb < 1e-12 else float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-    cos, gate_open = meta.gate(g_sup, g_qry, layout)
+    cos, gate_open, norms = meta.gate(g_sup, g_qry, layout)
     assert same_bits(cos, want) and gate_open == (want >= 0.0)
+    assert same_bits(norms[0], float(na)) and same_bits(norms[1], float(nb))
     assert same_bits(float(np.linalg.norm(layout.primary(g_sup))), float(na))
     assert same_bits(float(np.linalg.norm(layout.primary(g_qry))), float(nb))
     assert np.shares_memory(layout.primary(g_sup), g_sup)
@@ -706,23 +807,28 @@ def test_fomaml_never_computes_the_accumulated_movement(monkeypatch):
 # ---------------------------------------------------------------------------
 # allocation guard: peak bytes allocated by one call beyond what existed when
 # it started, in flat parameter vectors, at the benchmark fixture's shapes
-# (vocabulary 400, d = 32, 5 sequences). A gradient call returns one vector
-# and a 1-step fine-tune two (the adapted parameters and the first gradient);
-# an E- or P-sized block is 0.45 of a vector, and the rest is the backward
-# pass's small arrays, the memoised pass and the batch's plan. tracemalloc
-# counts what numpy asks for, whatever the state of the heap. The bounds are
-# the values measured with numpy 2.4, rounded up so that each leaves 1-3 KB
-# (under 0.01 of the 226 KB vector) for small arrays, except the 1-step
-# fine-tune at weight 0: it measures 2.1669 since its batch keeps a plan, and
-# its bound leaves 0.7 KB. In brackets, earlier values: while the update and
-# the gradient's weighted blocks each made a flat- or block-sized temporary,
-# and, at weight 0.1, while each branch ran its own pass and backward pass.
+# (vocabulary 400, d = 32, 5 sequences). A gradient call on the full layout
+# returns one vector, and the encoder's backward pass allocates it while the
+# E-sized scatter output (0.45 of a vector) is alive; the rest is the
+# backward pass's small arrays. A 1-step fine-tune descends on the working
+# set and returns one copy of psi: at weight 0 the working set is a few E
+# rows and the dense blocks (about 0.1 of a vector), at weight 0.1 it holds
+# P and p0 too (about 0.6), and the start point, the first gradient and the
+# adapted point are each one such vector, next to the batch's plan and
+# memoised pass. tracemalloc counts what numpy asks for, whatever the state
+# of the heap. The bounds are the values measured with numpy 2.4, rounded up
+# so that each leaves 1-3 KB (under 0.01 of the 226 KB vector) for small
+# arrays. In brackets, earlier values: while the descent ran on all of psi
+# and the gradient was added into a zero vector block by block; while the
+# update and the gradient's weighted blocks each made a flat- or block-sized
+# temporary; and, at weight 0.1, while each branch ran its own pass and
+# backward pass.
 
 PEAK_BOUNDS = {  # (call, aux weight): flat vectors
-    ("grad_total", 0.0): 1.55,   # [2.00; 1.99 while the zero vector came first]
-    ("grad_total", 0.1): 2.02,   # [2.97; 2.46 with a pass per branch]
-    ("fine_tune", 0.0): 2.17,    # [3.16]
-    ("fine_tune", 0.1): 2.55,    # [3.53; 2.98 with a pass per branch]
+    ("grad_total", 0.0): 1.54,   # [1.55; 2.00; 1.99 while the zero vector came first]
+    ("grad_total", 0.1): 1.625,  # [2.02; 2.97; 2.46 with a pass per branch]
+    ("fine_tune", 0.0): 1.29,    # [2.17; 3.16]
+    ("fine_tune", 0.1): 2.46,    # [2.55; 3.53; 2.98 with a pass per branch]
 }
 
 

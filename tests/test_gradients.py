@@ -55,7 +55,7 @@ def test_oracle_never_calls_gradient_code(monkeypatch):
     # Every metatext module that holds a gradient function under its own name,
     # the harness that hosts the oracle included.
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "metatext"]
-    for name in ("grad_primary", "grad_total", "_grad_blocks", "_backprop_encoder"):
+    for name in ("grad_primary", "grad_total", "_gradient", "_backprop_encoder"):
         for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)

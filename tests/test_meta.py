@@ -137,25 +137,25 @@ def test_inner_adapt_blowup_reports_later_step(setup):
 def test_gate_identical_and_antiparallel(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    cos, open_ = gate(g, g, psi.layout())
+    cos, open_, _ = gate(g, g, psi.layout())
     assert cos == 1.0 and open_
-    cos, open_ = gate(g, -g, psi.layout())
+    cos, open_, _ = gate(g, -g, psi.layout())
     assert cos == -1.0 and not open_
 
 
 def test_gate_zero_query_gradient_opens(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    cos, open_ = gate(g, np.zeros_like(g), psi.layout())
+    cos, open_, _ = gate(g, np.zeros_like(g), psi.layout())
     assert cos == 0.0 and open_
 
 
 def test_gate_threshold_semantics(setup):
     _, psi, ep, _ = setup
     g = grad_primary(psi, ep.query)
-    cos, open_ = gate(g, g, psi.layout(), threshold=1.0)
+    cos, open_, _ = gate(g, g, psi.layout(), threshold=1.0)
     assert open_  # cos == 1.0 >= 1.0
-    _, open_ = gate(g, g, psi.layout(), threshold=1.5)
+    _, open_, _ = gate(g, g, psi.layout(), threshold=1.5)
     assert not open_
 
 
@@ -164,8 +164,8 @@ def test_gate_positive_scale_invariance(scale, setup):
     _, psi, ep, rng = setup
     g_sup = grad_total(psi, ep.support, None, 0.0)
     g_qry = grad_primary(psi, ep.query)
-    cos0, open0 = gate(g_sup, g_qry, psi.layout())
-    cos1, open1 = gate(g_sup, scale * g_qry, psi.layout())
+    cos0, open0, _ = gate(g_sup, g_qry, psi.layout())
+    cos1, open1, _ = gate(g_sup, scale * g_qry, psi.layout())
     assert abs(cos0 - cos1) < 1e-12
     assert open0 == open1
 
@@ -176,8 +176,8 @@ def test_gate_ignores_predictor_blocks(setup):
     g_qry = grad_primary(psi, ep.query)
     noisy = g_sup.copy()
     noisy[psi.layout().slices["P"]] = 1e6  # must not affect the cosine
-    cos0, _ = gate(g_sup, g_qry, psi.layout())
-    cos1, _ = gate(noisy, g_qry, psi.layout())
+    cos0, _, _ = gate(g_sup, g_qry, psi.layout())
+    cos1, _, _ = gate(noisy, g_qry, psi.layout())
     assert cos0 == cos1
 
 

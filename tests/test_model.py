@@ -275,6 +275,75 @@ def test_masked_batch_properties(seed, lengths, mask_prob, strategy, vocab_size)
         assert masked.shape == seq.shape and np.array_equal(masked[kept], seq[kept])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+       mask_prob=st.sampled_from([1e-12, 0.3, 1.0]), strategy=strategies,
+       vocab_size=st.integers(FIRST_REAL_ID + 1, 12))
+def test_masked_batch_replacements_and_forced_targets(seed, lengths, mask_prob, strategy,
+                                                      vocab_size):
+    """Each target position holds MASK (only if the strategy masks), its
+    original id (only if it keeps some), or a random replacement (only if it
+    replaces some): a real id in range other than the original, or UNK when
+    the vocabulary has no other real id. A draw that selects nothing forces
+    exactly one target in each maskable sequence; a draw that selects
+    everything targets every maskable position."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(0, vocab_size, size=n) for n in lengths]
+    batch = MaskedBatch.build(seqs, rng, mask_prob=mask_prob, strategy=strategy,
+                              vocab_size=vocab_size)
+    p_mask, p_same, p_random = strategy
+    for si, pos, orig in batch.targets:
+        got = batch.sequences[si][pos]
+        if got == MASK_ID:
+            assert p_mask > 0
+        elif got == orig:
+            assert p_same > 0
+        else:
+            assert p_random > 0
+            if vocab_size - FIRST_REAL_ID - (orig >= FIRST_REAL_ID) > 0:
+                assert FIRST_REAL_ID <= got < vocab_size
+            else:
+                assert got == UNK_ID
+    per_sequence = [[pos for i, pos, _ in batch.targets if i == si] for si in range(len(seqs))]
+    for seq, positions in zip(seqs, per_sequence):
+        maskable = np.flatnonzero((seq != PAD_ID) & (seq != MASK_ID))
+        if mask_prob == 1e-12:
+            assert len(positions) == min(1, maskable.size)
+        elif mask_prob == 1.0:
+            assert sorted(positions) == list(maskable)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mask_prob=st.sampled_from([0.15, 0.3, 0.6]),
+       strategy=strategies)
+def test_masking_proportions_follow_the_strategy(seed, mask_prob, strategy):
+    """Over 100 sequences of 12 real ids, the share of positions selected and
+    the shares of masked, kept and replaced targets lie within five standard
+    deviations (plus one count) of mask_prob and the strategy: the
+    proportions of criterion 4 at any seed, not only at fixed draws."""
+    rng = np.random.default_rng(seed)
+    vocab_size = 50
+    seqs = [rng.integers(FIRST_REAL_ID, vocab_size, size=12) for _ in range(100)]
+    batch = MaskedBatch.build(seqs, rng, mask_prob=mask_prob, strategy=strategy,
+                              vocab_size=vocab_size)
+
+    def near(count, mean, var):
+        return abs(count - mean) <= 5 * np.sqrt(var) + 1
+
+    # Per sequence, Binomial(12, mask_prob) positions are drawn, plus one
+    # forced when none is (probability (1 - mask_prob) ** 12); the forced one
+    # adds at most 1/4 to the variance.
+    n_targets = batch.num_targets
+    assert near(n_targets, len(seqs) * (12 * mask_prob + (1 - mask_prob) ** 12),
+                len(seqs) * (12 * mask_prob * (1 - mask_prob) + 0.25))
+    kinds = [0, 0, 0]
+    for si, pos, orig in batch.targets:
+        got = batch.sequences[si][pos]
+        kinds[0 if got == MASK_ID else 1 if got == orig else 2] += 1
+    assert all(near(count, n_targets * p, n_targets * p * (1 - p))
+               for count, p in zip(kinds, strategy))
+
+
 # ---------------------------------------------------------------------------
 # aux / total loss
 
@@ -381,14 +450,6 @@ def test_layout_primary_is_a_read_only_prefix_view(small_model_cfg):
     assert values[0] == 0.0
     with pytest.raises(ValueError, match="layout expects"):
         layout.primary(values[:-1])
-
-
-def test_params_validate_catches_nonfinite(small_model_cfg):
-    params = small_model_cfg.init_params(np.random.default_rng(11))
-    params.validate()
-    params.W1[0, 0] = np.nan
-    with pytest.raises(ValueError, match="W1"):
-        params.validate()
 
 
 def test_checkpoint_round_trip(tmp_path, small_model_cfg):
