@@ -458,18 +458,22 @@ def _labelled(params: ModelParams, batch) -> PackedBatch:
 
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. logits, numerically stable."""
-    logp = logits - logits.max(axis=1, keepdims=True)
-    dlogits = np.exp(logp)
-    logp -= np.log(dlogits.sum(axis=1, keepdims=True))
+    """Mean cross-entropy and its gradient w.r.t. logits, numerically stable:
+    one exponential of the shifted logits, taken in place, gives both the
+    normaliser and the softmax. The loss is the mean of log(row sum) minus
+    the label's shifted logit."""
     n = logits.shape[0]
     idx = np.arange(n)
-    # sum() / n is mean()'s arithmetic without its Python-level wrapper.
-    loss = float(-logp[idx, labels].sum() / n)
-    np.exp(logp, out=dlogits)
-    dlogits[idx, labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    picked = probs[idx, labels]
+    np.exp(probs, out=probs)
+    sums = np.add.reduce(probs, axis=1)
+    loss = float(np.add.reduce(np.log(sums) - picked) / n)
+    # probs / (sum * n), less 1/n at each label: (softmax - one-hot) / n.
+    sums *= n
+    probs /= sums[:, None]
+    probs[idx, labels] -= 1.0 / n
+    return loss, probs
 
 
 def _pass(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch | None):

@@ -422,7 +422,9 @@ def fast_forward(params, tokens, mask):
 
 
 def slow_softmax_xent(logits, labels):
-    """_softmax_xent with a fresh array for every operation."""
+    """_softmax_xent's earlier form, with a fresh array for every operation:
+    log-probabilities from the log of the row sums of one exponential, the
+    softmax from a second exponential of them."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
@@ -526,9 +528,12 @@ pass_sizes = st.one_of(st.integers(1, 6), st.just(25))
        mask_prob=st.sampled_from([0.3, 1.0]))
 def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     """_forward, _softmax_xent and the masked-token logits reuse their own
-    temporaries, and the masked means are matmuls: counts, emb and the
-    softmax are bitwise the forms that allocate one array per operation, and
-    ctx, hidden, rep and the masked-token pass built on them agree to 1e-12."""
+    temporaries, the masked means are matmuls, and the softmax takes one
+    exponential: counts and emb are bitwise the forms that allocate one array
+    per operation and take two exponentials, and ctx, hidden, rep, the
+    softmax's loss and gradient and the masked-token pass built on them agree
+    to 1e-12 (the softmax's relative to the terms it sums: the log row sums
+    and picked logits, and 1/n)."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
@@ -544,7 +549,11 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     logits = want.rep @ params.C.T + params.c0
     got_loss, got_d = model._softmax_xent(logits, packed.labels)
     want_loss, want_d = slow_softmax_xent(logits, packed.labels)
-    assert same_bits(got_loss, want_loss) and same_bits(got_d, want_d)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    loss_terms = np.concatenate([np.log(np.exp(shifted).sum(axis=1)),
+                                 shifted[np.arange(size), packed.labels]])
+    assert close(got_loss, want_loss, loss_terms)
+    assert close(got_d, want_d, np.full(want_d.shape, 1.0 / size))
     got_fw, _, got_aux = model._pass(params, None, masked)
     want_fw, *want_aux = slow_aux_pass(params, masked)
     assert close(got_fw.hidden, want_fw.hidden)
