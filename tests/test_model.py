@@ -252,9 +252,13 @@ def test_masked_batch_properties(seed, lengths, mask_prob, strategy, vocab_size)
     """Over random sequences that may hold PAD, UNK and MASK ids: targets are
     unique (sequence, position) pairs at non-PAD, non-MASK positions and
     record the original id; every sequence with a maskable token gets at
-    least one target, and the others are skipped and left as they were;
-    positions that are not targets keep their ids; under (1, 0, 0) every
-    target carries MASK_ID."""
+    least one target (exactly one, forced, when the draw selects nothing;
+    all of its maskable positions when the draw selects everything), and the
+    others are skipped and left as they were; positions that are not targets
+    keep their ids. Each target holds MASK (only if the strategy masks), its
+    original id (only if it keeps some), or a random replacement (only if it
+    replaces some): a real id in range other than the original, or UNK when
+    the vocabulary has no other real id."""
     rng = np.random.default_rng(seed)
     seqs = [rng.integers(0, vocab_size, size=n) for n in lengths]
     batch = MaskedBatch.build(seqs, rng, mask_prob=mask_prob, strategy=strategy,
@@ -262,37 +266,9 @@ def test_masked_batch_properties(seed, lengths, mask_prob, strategy, vocab_size)
     assert len(batch.sequences) == len(seqs)
     places = [(si, pos) for si, pos, _ in batch.targets]
     assert len(set(places)) == len(places)
-    for si, pos, orig in batch.targets:
-        assert seqs[si][pos] == orig and orig not in (PAD_ID, MASK_ID)
-        if strategy == (1.0, 0.0, 0.0):
-            assert batch.sequences[si][pos] == MASK_ID
-    maskable = [bool(np.any((s != PAD_ID) & (s != MASK_ID))) for s in seqs]
-    assert {si for si, _ in places} == {si for si, ok in enumerate(maskable) if ok}
-    assert batch.n_skipped == maskable.count(False)
-    for si, (seq, masked) in enumerate(zip(seqs, batch.sequences)):
-        kept = np.ones(seq.size, dtype=bool)
-        kept[[pos for i, pos in places if i == si]] = False
-        assert masked.shape == seq.shape and np.array_equal(masked[kept], seq[kept])
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(0, 9), min_size=1, max_size=8),
-       mask_prob=st.sampled_from([1e-12, 0.3, 1.0]), strategy=strategies,
-       vocab_size=st.integers(FIRST_REAL_ID + 1, 12))
-def test_masked_batch_replacements_and_forced_targets(seed, lengths, mask_prob, strategy,
-                                                      vocab_size):
-    """Each target position holds MASK (only if the strategy masks), its
-    original id (only if it keeps some), or a random replacement (only if it
-    replaces some): a real id in range other than the original, or UNK when
-    the vocabulary has no other real id. A draw that selects nothing forces
-    exactly one target in each maskable sequence; a draw that selects
-    everything targets every maskable position."""
-    rng = np.random.default_rng(seed)
-    seqs = [rng.integers(0, vocab_size, size=n) for n in lengths]
-    batch = MaskedBatch.build(seqs, rng, mask_prob=mask_prob, strategy=strategy,
-                              vocab_size=vocab_size)
     p_mask, p_same, p_random = strategy
     for si, pos, orig in batch.targets:
+        assert seqs[si][pos] == orig and orig not in (PAD_ID, MASK_ID)
         got = batch.sequences[si][pos]
         if got == MASK_ID:
             assert p_mask > 0
@@ -304,13 +280,18 @@ def test_masked_batch_replacements_and_forced_targets(seed, lengths, mask_prob, 
                 assert FIRST_REAL_ID <= got < vocab_size
             else:
                 assert got == UNK_ID
-    per_sequence = [[pos for i, pos, _ in batch.targets if i == si] for si in range(len(seqs))]
-    for seq, positions in zip(seqs, per_sequence):
-        maskable = np.flatnonzero((seq != PAD_ID) & (seq != MASK_ID))
+    maskable = [bool(np.any((s != PAD_ID) & (s != MASK_ID))) for s in seqs]
+    assert {si for si, _ in places} == {si for si, ok in enumerate(maskable) if ok}
+    assert batch.n_skipped == maskable.count(False)
+    for si, (seq, masked) in enumerate(zip(seqs, batch.sequences)):
+        positions = [pos for i, pos in places if i == si]
+        kept = np.ones(seq.size, dtype=bool)
+        kept[positions] = False
+        assert masked.shape == seq.shape and np.array_equal(masked[kept], seq[kept])
         if mask_prob == 1e-12:
-            assert len(positions) == min(1, maskable.size)
+            assert len(positions) == min(1, int(maskable[si]))
         elif mask_prob == 1.0:
-            assert sorted(positions) == list(maskable)
+            assert sorted(positions) == list(np.flatnonzero((seq != PAD_ID) & (seq != MASK_ID)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,8 +18,8 @@ def test_summary_counts_pairs_won_in_the_better_direction():
     assert won == 10 and gap == pytest.approx(0.5) and met
     assert q_base[1] == pytest.approx(1.2) and q_change[1] == pytest.approx(0.7)
     # The same numbers read as a higher-is-better metric: every pair lost.
-    _, _, won, _, met = ab_pairs.summary(base, change, "higher")
-    assert won == 0 and not met
+    _, _, won, gap, met = ab_pairs.summary(base, change, "higher")
+    assert won == 0 and gap == pytest.approx(-0.5) and not met
 
 
 def test_summary_needs_nine_wins_and_a_gap_beyond_the_iqr():

@@ -8,12 +8,12 @@ needed) and removed afterwards. Each pair runs `bench/run.py --workload W
 this one, each in its own process, alternating which goes first (ABBA), so
 that drift on a shared host falls on both sides. For every end-to-end metric
 of BENCHMARK.json it prints each side's median and quartiles, how many pairs
-the change won (in the metric's better direction), and the median gap
-against the base's interquartile range. A gain counts under the nine-in-ten
-rule when the change wins at least nine pairs in ten and the median gap
-exceeds the base's IQR; the last column says whether that holds. A run that
-fails, or whose checks do not pass, stops the whole comparison with exit
-status 1.
+the change won and the gap between the medians, both in the metric's better
+direction, and the base's interquartile range. A gain counts under the
+nine-in-ten rule when the change wins at least nine pairs in ten and the
+median gap exceeds the base's IQR; the last column says whether that holds.
+A run that fails, or whose checks do not pass, stops the whole comparison
+with exit status 1.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ def bench(checkout, workload, seed, seconds) -> dict:
 
 
 def summary(base: list, change: list, better: str) -> tuple:
-    """(base quartiles, change quartiles, pairs won, median gap, rule met)."""
+    """(base quartiles, change quartiles, pairs won, median gap, rule met);
+    the gap is the change's median gain over the base's, positive when the
+    change is better."""
     q_base = statistics.quantiles(base, n=4, method="inclusive")
     q_change = statistics.quantiles(change, n=4, method="inclusive")
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
-    gap = q_base[1] - q_change[1]
-    met = won >= 0.9 * len(base) and sign * gap > q_base[2] - q_base[0]
+    gap = sign * (q_base[1] - q_change[1])
+    met = won >= 0.9 * len(base) and gap > q_base[2] - q_base[0]
     return q_base, q_change, won, gap, met
 
 
