@@ -627,8 +627,7 @@ def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBat
     by the branch's weight in place (skipped at weight 1.0). With both, one
     backward pass runs over a d_hidden whose rows already carry their
     branch's weight, and only the head blocks are scaled. A last 0.0 + x over
-    the vector turns -0.0 into +0.0, as adding the blocks into a zero vector
-    did: the outputs depend on those bits."""
+    the vector turns -0.0 into +0.0: the outputs depend on those bits."""
     fw, primary, aux = _pass(params, packed, masked)
     plan = fw.plan
     layout = params.layout()
