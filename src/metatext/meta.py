@@ -40,6 +40,7 @@ from .model import (
     NumericalError,
     PackedBatch,
     ParamLayout,
+    _branches,
     check_masking,
     grad_primary,
     grad_total,
@@ -163,8 +164,8 @@ class _WorkingSet:
                 present[seq] = True
         rows = np.flatnonzero(present)
         renumber = np.cumsum(present) - 1
-        compact = ParamLayout.build(rows.size, psi.d_emb, psi.d_h, psi.n_way,
-                                    0 if masked is None else psi.P.shape[0])
+        compact = ParamLayout.of_shapes(rows.size, psi.d_emb, psi.d_h, psi.n_way,
+                                        0 if masked is None else psi.P.shape[0])
         batch = PackedBatch(renumber[batch.tokens], batch.mask, batch.labels)
         if masked is not None:
             masked = MaskedBatch(sequences=[renumber[seq] for seq in masked.sequences],
@@ -284,9 +285,9 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
     if aux_weight > 0.0 and masked is None:
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
-    # The masked-token branch runs under the same condition as in total_loss.
-    aux = masked if aux_weight > 0.0 and masked is not None and masked.num_targets else None
-    work, batch, aux = _WorkingSet.build(psi, PackedBatch.pack(support), aux)
+    batch = PackedBatch.pack(support)
+    _, aux = _branches(psi, batch, masked, aux_weight)
+    work, batch, aux = _WorkingSet.build(psi, batch, aux)
     params = work.gather(psi)
     first = None
     trace = []

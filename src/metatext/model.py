@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +66,16 @@ class ParamLayout:
     @classmethod
     @functools.cache
     def build(cls, e_rows: int, d_emb: int, d_h: int, n_way: int, p_rows: int) -> "ParamLayout":
-        """The layout for these shapes, E over e_rows token rows and P and p0
+        """of_shapes' layout for these shapes, memoised, so equal shapes share
+        one instance."""
+        return cls.of_shapes(e_rows, d_emb, d_h, n_way, p_rows)
+
+    @classmethod
+    def of_shapes(cls, e_rows: int, d_emb: int, d_h: int, n_way: int, p_rows: int
+                  ) -> "ParamLayout":
+        """A new layout for these shapes, E over e_rows token rows and P and p0
         over p_rows (both the vocabulary size but in a descent's compact
-        layout); memoised, so equal shapes share one instance."""
+        layout, which is built once per descent and not memoised)."""
         shapes = {
             "E": (e_rows, d_emb),
             "W1": (d_h, 2 * d_emb),
@@ -81,7 +89,7 @@ class ParamLayout:
         offset = 0
         for name in BLOCK_NAMES:
             shape = shapes[name]
-            length = int(np.prod(shape))
+            length = math.prod(shape)
             blocks.append((name, offset, length, shape))
             offset += length
         return cls(blocks=tuple(blocks), size=offset)

@@ -4,7 +4,7 @@
 
 REV is checked out with `git worktree` under .bench_work/ (no network is
 needed) and removed afterwards. Each pair runs `bench/run.py --workload W
---seed S --seconds SECONDS --trace 0` once in the base checkout and once in
+--seed S --seconds 50 --trace 0` once in the base checkout and once in
 this one, each in its own process, alternating which goes first (ABBA), so
 that drift on a shared host falls on both sides. For every end-to-end metric
 of BENCHMARK.json it prints each side's median and quartiles, how many pairs
@@ -27,6 +27,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 50  # bench/run.py --seconds of every run, the benchmark's convention
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -34,10 +35,10 @@ def git(*args, cwd=ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def bench(checkout, workload, seed, seconds) -> dict:
+def bench(checkout, workload, seed) -> dict:
     """The metrics of one bench/run.py process in checkout, as {name: value}."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
@@ -66,8 +67,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
     parser.add_argument("--seed", type=int, required=True, help="workload seed")
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs (at least 2)")
-    parser.add_argument("--seconds", type=float, default=50.0,
-                        help="bench/run.py --seconds of every run")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 checkout = base_dir if side == "base" else ROOT
-                runs[side].append(bench(checkout, args.workload, args.seed, args.seconds))
+                runs[side].append(bench(checkout, args.workload, args.seed))
             print(f"pair {i + 1}: run_s base {runs['base'][-1]['run_s']:.4f}  "
                   f"change {runs['change'][-1]['run_s']:.4f}", flush=True)
     except RuntimeError as err:
