@@ -99,12 +99,6 @@ def _cmd_export_embeddings(args) -> int:
     config = _load_config(args)
     corpus, split = load_experiment_data(config)
     psi = load_params(args.checkpoint)
-    if psi.n_way != config.n_way:
-        raise ValueError(f"checkpoint was trained for n_way={psi.n_way}, "
-                         f"config has n_way={config.n_way}")
-    if psi.vocab_size != corpus.vocab_size:
-        raise ValueError(f"checkpoint has vocab_size={psi.vocab_size}, the corpus "
-                         f"vocabulary under this config has {corpus.vocab_size} tokens")
     episode = sample_episode(corpus, split, args.part, config.n_way, config.k_shot,
                              config.query_per_class, np.random.default_rng([args.episode_seed, 0]))
     count = export_embeddings(psi, episode, args.out, corpus, config,

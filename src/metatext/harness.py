@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -96,10 +97,19 @@ class ExperimentConfig:
         errors are re-raised as ConfigError."""
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for name in ("n_way", "k_shot", "query_per_class", "patience",
-                     "episodes_per_epoch_train", "episodes_per_epoch_val",
-                     "test_episodes", "max_epochs", "meta_batch_size",
-                     "d_emb", "d_h", "max_len"):
+        positive = ("n_way", "k_shot", "query_per_class", "patience", "episodes_per_epoch_train",
+                    "episodes_per_epoch_val", "test_episodes", "max_epochs", "meta_batch_size",
+                    "d_emb", "d_h", "max_len")
+        # A float or bool seed draws an integer seed's streams, and a float
+        # count fails in range() mid-run, so both are rejected here.
+        integers = [(name, getattr(self, name)) for name in (*positive, "inner_steps", "min_freq")]
+        integers += [("seeds", seed) for seed in self.seeds]
+        if self.fine_tune_steps is not None:
+            integers.append(("fine_tune_steps", self.fine_tune_steps))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.inner_lr <= 0:
@@ -261,8 +271,7 @@ def _train_one_seed(config: ExperimentConfig, corpus: Corpus, split: ClassSplit,
                                      config.meta_batch_size, rng_sample)
             state, report = step_fn(state, batch, rng_step)
             if metrics_fh is not None:
-                line = {"seed": seed, "epoch": epoch, "method": config.method}
-                line.update(report.to_dict())
+                line = {"seed": seed, "epoch": epoch, "method": config.method, **report}
                 metrics_fh.write(json.dumps(line) + "\n")
 
         seen_eps = _sample_episodes(corpus, split, "train", config,
@@ -456,6 +465,8 @@ def gen_synthetic(path, num_classes: int, docs_per_class: int, tokens_per_class:
 
 def write_split_file(path, class_names, n_train: int, n_val: int, n_test: int) -> dict:
     """Assign the first classes to train, the next to val, the rest to test."""
+    if min(n_train, n_val, n_test) < 0:
+        raise ConfigError(f"split sizes {n_train}/{n_val}/{n_test} must be non-negative")
     if n_train + n_val + n_test > len(class_names):
         raise ConfigError(
             f"split sizes {n_train}+{n_val}+{n_test} exceed {len(class_names)} classes")
@@ -478,7 +489,14 @@ def export_embeddings(psi: ModelParams, episode: Episode, path, corpus: Corpus,
     """Write one CSV row per query example: sentence representation after
     test-time fine-tuning as the config's evaluation runs it, local label,
     global class name. Values carry 17 significant digits so they round-trip.
-    Returns the row count."""
+    Returns the row count. A checkpoint of another n_way than the config's
+    or another vocabulary than the corpus's raises ValueError."""
+    if psi.n_way != config.n_way:
+        raise ValueError(f"checkpoint was trained for n_way={psi.n_way}, "
+                         f"config has n_way={config.n_way}")
+    if psi.vocab_size != corpus.vocab_size:
+        raise ValueError(f"checkpoint has vocab_size={psi.vocab_size}, the corpus "
+                         f"vocabulary under this config has {corpus.vocab_size} tokens")
     theta = fine_tune(psi, episode.support, *config.fine_tune_args(), rng)
     d_h = psi.d_h
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

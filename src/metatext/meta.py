@@ -58,6 +58,10 @@ REPTILE_PRESET = dict(aux_weight=0.0, include_support=True, support_term="accumu
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The per-episode lists of a step's record, in metrics.jsonl's key order
+# between "step" and "meta_grad_norm".
+EPISODE_KEYS = ("cos", "gate_open", "query_used", "support_loss", "query_loss", "g_sup_norm",
+                "g_qry_norm", "aux_targets")
 
 
 class InnerLoopError(RuntimeError):
@@ -164,8 +168,8 @@ class _WorkingSet:
                 present[seq] = True
         rows = np.flatnonzero(present)
         renumber = np.cumsum(present) - 1
-        compact = ParamLayout.of_shapes(rows.size, psi.d_emb, psi.d_h, psi.n_way,
-                                        0 if masked is None else psi.P.shape[0])
+        compact = ParamLayout.build(rows.size, psi.d_emb, psi.d_h, psi.n_way,
+                                    0 if masked is None else psi.P.shape[0])
         batch = PackedBatch(renumber[batch.tokens], batch.mask, batch.labels)
         if masked is not None:
             masked = MaskedBatch(sequences=[renumber[seq] for seq in masked.sequences],
@@ -199,8 +203,8 @@ class _WorkingSet:
 
 @dataclass
 class AdaptResult:
-    """One episode's inner loop from psi under cfg and, after
-    evaluate_episode, its query side.
+    """One support-set descent from psi under cfg (an episode's inner loop or
+    a fine-tune) and, after evaluate_episode, its query side.
 
     The descent moved work's entries of psi, and first_step is its first
     gradient in work's compact layout. first_grad (that gradient in psi's
@@ -243,45 +247,13 @@ class AdaptResult:
         return self.accumulated
 
 
-@dataclass
-class StepReport:
-    """Scalars for one meta step, JSONL-ready via to_dict()."""
-
-    step: int
-    cos_values: list
-    gates: list
-    query_used: list
-    support_losses: list
-    query_losses: list
-    g_sup_norms: list
-    g_qry_norms: list
-    aux_targets: list
-    meta_grad_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "cos": self.cos_values,
-            "gate_open": self.gates,
-            "query_used": self.query_used,
-            "support_loss": self.support_losses,
-            "query_loss": self.query_losses,
-            "g_sup_norm": self.g_sup_norms,
-            "g_qry_norm": self.g_qry_norms,
-            "aux_targets": self.aux_targets,
-            "meta_grad_norm": self.meta_grad_norm,
-        }
-
-
 def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: MetaConfig,
-             rng: np.random.Generator, masked: MaskedBatch | None = None):
+             rng: np.random.Generator, masked: MaskedBatch | None = None) -> AdaptResult:
     """Gradient descent from psi on the total loss over a support set at
     cfg.inner_lr, with the mask (drawn here under cfg's settings and psi's
     full vocabulary when aux_weight > 0, unless passed in) fixed across
     steps. The steps run on the working set, gathered and renumbered once,
-    and the result is scattered into one copy of psi. Returns (adapted
-    params, working set, first gradient in its compact layout, loss trace,
-    masked batch)."""
+    and the result is scattered into one copy of psi."""
     if aux_weight > 0.0 and masked is None:
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
@@ -308,7 +280,8 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
     # copy of psi is made.
     del batch, aux
     theta = ModelParams.from_flat(work.scatter(params.flat, psi.flat.copy()), psi.layout())
-    return theta, work, first, trace, masked
+    return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta, work=work, first_step=first,
+                       loss_trace=trace, masked=masked)
 
 
 def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Generator, *,
@@ -321,10 +294,7 @@ def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Gener
     """
     if cfg.inner_steps < 1:
         raise ValueError("inner_steps must be at least 1")
-    theta_hat, work, first, trace, masked = _descend(psi, episode.support, cfg.inner_steps,
-                                                     cfg.aux_weight, cfg, rng, masked)
-    return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta_hat, work=work, first_step=first,
-                       loss_trace=trace, masked=masked)
+    return _descend(psi, episode.support, cfg.inner_steps, cfg.aux_weight, cfg, rng, masked)
 
 
 def gate(g_sup: np.ndarray, g_qry: np.ndarray, layout: ParamLayout, threshold: float = 0.0,
@@ -392,17 +362,19 @@ def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
 
 def _step(state: MetaState, episode_batch, rng: np.random.Generator,
           cfg: MetaConfig, *, cosine: bool, query_in_inner: bool = False
-          ) -> tuple[MetaState, StepReport]:
+          ) -> tuple[MetaState, dict]:
     """The meta-update of every step function, under cfg (state.cfg or a
     baseline preset of it): per episode, adapt on the support set (plus the
     query set with query_in_inner) and add the support term and the query
     gradient cfg lets in; then one optimizer step. cosine takes and logs the
-    gate's cosine."""
+    gate's cosine. Returns the new state and the step's record as
+    metrics.jsonl writes it: step, one list per EPISODE_KEYS entry with an
+    item per episode, and meta_grad_norm."""
     if not episode_batch:
         raise ValueError("episode batch is empty")
     meta_grad = np.zeros_like(state.psi.flat)
     layout = state.psi.layout()
-    rows = []  # one per episode, in StepReport field order
+    rows = []  # one per episode, in EPISODE_KEYS order
     for ep in episode_batch:
         if query_in_inner:
             ep = replace(ep, support=list(ep.support) + list(ep.query))
@@ -423,12 +395,13 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
                      include_query or query_in_inner, res.loss_trace[-1], res.query_loss,
                      *norms, res.masked.num_targets if res.masked is not None else 0))
     new_state = _apply_update(state, meta_grad)
-    return new_state, StepReport(new_state.step_count, *map(list, zip(*rows)),
-                                 meta_grad_norm=float(np.linalg.norm(meta_grad)))
+    columns = dict(zip(EPISODE_KEYS, map(list, zip(*rows))))
+    return new_state, {"step": new_state.step_count, **columns,
+                       "meta_grad_norm": float(np.linalg.norm(meta_grad))}
 
 
 def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
-              ) -> tuple[MetaState, StepReport]:
+              ) -> tuple[MetaState, dict]:
     """One adaptive meta-update over a batch of episodes.
 
     Per episode: adapt on the support set, take the query gradient at the
@@ -440,7 +413,7 @@ def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
 
 
 def fomaml_step(state: MetaState, episode_batch, rng: np.random.Generator
-                ) -> tuple[MetaState, StepReport]:
+                ) -> tuple[MetaState, dict]:
     """First-order MAML, the meta-update under FOMAML_PRESET: adapt on the
     classification loss only, then apply the query gradient at the adapted
     parameters as the meta-gradient. An episode without a query set
@@ -449,7 +422,7 @@ def fomaml_step(state: MetaState, episode_batch, rng: np.random.Generator
 
 
 def reptile_step(state: MetaState, episode_batch, rng: np.random.Generator
-                 ) -> tuple[MetaState, StepReport]:
+                 ) -> tuple[MetaState, dict]:
     """Reptile, the meta-update under REPTILE_PRESET: move psi toward the
     inner-loop solution.
 
@@ -472,7 +445,8 @@ def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool, cfg: MetaCon
         raise ValueError("fine-tune steps must be non-negative")
     if steps == 0:
         return psi
-    return _descend(psi, support, steps, cfg.aux_weight if use_mtp else 0.0, cfg, rng)[0]
+    aux_weight = cfg.aux_weight if use_mtp else 0.0
+    return _descend(psi, support, steps, aux_weight, cfg, rng).theta_hat
 
 
 def meta_test(psi: ModelParams, episode, steps: int, use_mtp: bool, cfg: MetaConfig,

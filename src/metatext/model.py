@@ -64,18 +64,10 @@ class ParamLayout:
                                             for name, offset, length, _ in self.blocks})
 
     @classmethod
-    @functools.cache
     def build(cls, e_rows: int, d_emb: int, d_h: int, n_way: int, p_rows: int) -> "ParamLayout":
-        """of_shapes' layout for these shapes, memoised, so equal shapes share
-        one instance."""
-        return cls.of_shapes(e_rows, d_emb, d_h, n_way, p_rows)
-
-    @classmethod
-    def of_shapes(cls, e_rows: int, d_emb: int, d_h: int, n_way: int, p_rows: int
-                  ) -> "ParamLayout":
-        """A new layout for these shapes, E over e_rows token rows and P and p0
-        over p_rows (both the vocabulary size but in a descent's compact
-        layout, which is built once per descent and not memoised)."""
+        """The layout for these shapes, E over e_rows token rows and P and p0
+        over p_rows (both the vocabulary size except in a descent's compact
+        layout)."""
         shapes = {
             "E": (e_rows, d_emb),
             "W1": (d_h, 2 * d_emb),
@@ -323,14 +315,14 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 @dataclass(eq=False, slots=True)
 class _Plan:
     """The arrays of one padded (B, L) token batch that depend on the batch
-    alone, for one parameter layout and dtype: a batch derives its
-    plan on first use and keeps it, so every pass over it reads them. The
+    alone, for one shape of E and one dtype: a batch derives its plan on
+    first use and keeps it, so every pass over it reads them. The
     first split rows are a PackedBatch's and the rest a MaskedBatch's; a plan
     kept by a PackedBatch holds the MaskedBatch stacked under it, if any, in
     stacked."""
 
     tokens: np.ndarray   # (B, L) int
-    layout: ParamLayout
+    e_shape: tuple       # the shape of the E it indexes
     split: int
     stacked: MaskedBatch | None
     counts: np.ndarray   # (B,) non-PAD tokens per sequence, in the params' dtype
@@ -350,7 +342,7 @@ class _Plan:
                                 "is empty after PAD removal")
         base = np.where(mask, tokens * params.d_emb, params.E.size)
         index = (base[..., None] + np.arange(params.d_emb)).ravel()
-        return cls(tokens=tokens, layout=params.layout(), split=split, stacked=stacked,
+        return cls(tokens=tokens, e_shape=params.E.shape, split=split, stacked=stacked,
                    counts=counts, pool=(mask / counts[:, None])[:, None, :], index=index)
 
 
@@ -405,9 +397,9 @@ class PackedBatch:
 def _plan_of(params: ModelParams, holder, stacked: MaskedBatch | None) -> _Plan:
     """The plan kept by holder (a PackedBatch, with stacked under it or None,
     or a MaskedBatch alone), built when it has none for stacked and the
-    params' layout and dtype."""
+    shape and dtype of the params' E."""
     plan = holder.plan
-    if (plan is None or plan.stacked is not stacked or plan.layout is not params.layout()
+    if (plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape
             or plan.counts.dtype != params.E.dtype):
         if isinstance(holder, MaskedBatch):
             tokens, mask, split = *holder.packed, 0
@@ -546,9 +538,9 @@ def total_loss(params: ModelParams, support_batch, masked_support,
     """Convex combination (1 - w) * primary + w * auxiliary; support_batch is
     (sequence, label) pairs or a PackedBatch.
 
-    The auxiliary term is dropped (weight ignored) when masked_support is None
-    or holds no targets, so degenerate episodes fall back to pure
-    classification.
+    The auxiliary term is dropped when masked_support is None or holds no
+    targets, and the primary term keeps its weight 1 - w: such an episode's
+    loss is (1 - w) * primary, not the primary loss itself.
     """
     packed, masked = _branches(params, support_batch, masked_support, aux_weight)
     _, primary, aux = _pass(params, packed, masked)

@@ -169,7 +169,7 @@ def test_criterion_2_gate_soundness(bench, support_term):
             adapt = inner_adapt(state.psi, ep, cfg, rng_oracle)
             g_qry = grad_primary(adapt.theta_hat, ep.query)
             cos, gate_open, _ = gate(adapt.g_sup, g_qry, state.psi.layout(), cfg.gate_threshold)
-            assert cos == rep.cos_values[i]
+            assert cos == rep["cos"][i]
             if cfg.support_term == "first_step":
                 expected_grad += adapt.first_grad
             else:

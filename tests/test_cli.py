@@ -44,6 +44,17 @@ def test_gen_corpus_writes_files(workspace):
     assert len(split["train"]) == 6 and len(split["test"]) == 3
 
 
+def test_gen_corpus_rejects_negative_split_counts(tmp_path, capsys):
+    rc = main(["gen-corpus", "--out", str(tmp_path / "corpus.jsonl"),
+               "--classes", "8", "--docs-per-class", "2",
+               "--tokens-per-class", "3", "--overlap", "0.5",
+               "--split-out", str(tmp_path / "split.json"),
+               "--split-counts", "5", "-1", "3"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "split.json").exists()
+
+
 def test_train_command(workspace, capsys):
     rc = main(["train", "--config", str(workspace / "config.json"),
                "--out", str(workspace / "run")])

@@ -242,7 +242,7 @@ def test_plan_is_built_once_per_batch(monkeypatch):
 @given(cfg=model_configs, seed=seeds)
 def test_from_flat_blocks_are_views_equal_to_copies(cfg, seed):
     layout = cfg.layout()
-    assert layout is ParamLayout.build(cfg.vocab_size, cfg.d_emb, cfg.d_h, cfg.n_way,
+    assert layout == ParamLayout.build(cfg.vocab_size, cfg.d_emb, cfg.d_h, cfg.n_way,
                                        cfg.vocab_size)
     flat = np.random.default_rng(seed).normal(size=layout.size)
     params = ModelParams.from_flat(flat, layout)

@@ -82,6 +82,22 @@ def test_config_rejects_repeated_seeds(synth, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [("seeds", [1, 1.5]), ("seeds", [1, True]),
+                                         ("inner_steps", 2.5), ("fine_tune_steps", 2.5),
+                                         ("n_way", 3.0), ("min_freq", False)])
+def test_config_rejects_non_integer_seeds_and_counts(synth, field, value):
+    # Seed 1.5 or True draws seed 1's streams, so seed 1 would train twice and
+    # count twice in the mean; a float count fails inside range() mid-run.
+    data = tiny_config(synth).to_dict()
+    data[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_accepts_numpy_integer_seeds(synth):
+    tiny_config(synth, seeds=(np.int64(1), 2), fine_tune_steps=np.int64(0)).validate()
+
+
 def test_run_training_skips_empty_documents(tmp_path):
     rows = [{"text": f"w{c} x{c}{j} y{j}", "label": f"c{c}"}
             for c in range(9) for j in range(3)]
@@ -169,6 +185,14 @@ def test_gen_synthetic_underfilled_class_fails_at_sampling(tmp_path):
 def test_write_split_file_rejects_oversized_split(tmp_path):
     with pytest.raises(ConfigError, match="exceed"):
         write_split_file(tmp_path / "s.json", ["a", "b"], 2, 1, 0)
+
+
+def test_write_split_file_rejects_negative_counts(tmp_path):
+    # 5, -1, 3 would put class 4 in both train and test.
+    path = tmp_path / "s.json"
+    with pytest.raises(ConfigError, match="non-negative"):
+        write_split_file(path, [f"class{c:03d}" for c in range(8)], 5, -1, 3)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +373,27 @@ def test_export_embeddings_ten_way_five_shot_shape(synth, tmp_path):
     psi = model_cfg.init_params(np.random.default_rng(0))
     ep = sample_episode(corpus, split, "test", 10, 5, 5, np.random.default_rng(4))
     path = tmp_path / "emb10.csv"
-    count = export_embeddings(psi, ep, path, corpus, tiny_config(synth, fine_tune_steps=2),
-                              np.random.default_rng(5))
+    export_cfg = tiny_config(synth, n_way=10, k_shot=5, query_per_class=5, fine_tune_steps=2)
+    count = export_embeddings(psi, ep, path, corpus, export_cfg, np.random.default_rng(5))
     assert count == 10 * 5
     assert len(path.read_text().splitlines()) == 1 + 50
+
+
+def test_export_embeddings_rejects_a_checkpoint_of_other_shapes(synth, tmp_path):
+    # A checkpoint trained on another vocabulary would look the corpus's
+    # token ids up in its own rows, which belong to other tokens.
+    cfg = tiny_config(synth)
+    corpus, split = load_experiment_data(cfg)
+    ep = sample_episode(corpus, split, "test", 3, 1, 2, np.random.default_rng(1))
+    path = tmp_path / "emb.csv"
+    rng = np.random.default_rng(2)
+    for shapes, message in ((dict(vocab_size=corpus.vocab_size + 40, n_way=3),
+                             f"vocab_size={corpus.vocab_size + 40}, the corpus"),
+                            (dict(vocab_size=corpus.vocab_size, n_way=5), "n_way=5")):
+        psi = ModelConfig(d_emb=8, d_h=8, **shapes).init_params(rng)
+        with pytest.raises(ValueError, match=message):
+            export_embeddings(psi, ep, path, corpus, cfg, rng)
+    assert not path.exists()
 
 
 def test_export_embeddings_zero_params_identical_rows(synth, tmp_path):

@@ -222,7 +222,7 @@ def test_meta_step_closed_gate_equals_deleted_query(setup):
     _, psi, ep, _ = setup
     closed = MetaState.create(psi, sgd_config(gate_threshold=2.0))  # cos <= 1 < 2
     s_closed, rep = meta_step(closed, [ep], np.random.default_rng(5))
-    assert rep.gates == [False] and rep.query_used == [False]
+    assert rep["gate_open"] == [False] and rep["query_used"] == [False]
 
     never = MetaState.create(psi, sgd_config(query_mode="never"))
     s_never, _ = meta_step(never, [ep], np.random.default_rng(5))
@@ -232,7 +232,7 @@ def test_meta_step_closed_gate_equals_deleted_query(setup):
     deleted = MetaState.create(psi, sgd_config(gate_threshold=2.0))
     s_deleted, rep_d = meta_step(deleted, [no_query], np.random.default_rng(5))
     assert np.array_equal(s_closed.psi.to_flat(), s_deleted.psi.to_flat())
-    assert rep_d.cos_values == [None]
+    assert rep_d["cos"] == [None]
 
 
 def test_meta_step_open_gate_matches_hand_assembly(setup):
@@ -241,7 +241,7 @@ def test_meta_step_open_gate_matches_hand_assembly(setup):
     state = MetaState.create(psi, sgd_config(gate_threshold=-2.0,
                                              support_term="first_step"))
     new, rep = meta_step(state, [ep], np.random.default_rng(6))
-    assert rep.query_used == [True]
+    assert rep["query_used"] == [True]
 
     adapt = inner_adapt(psi, ep, adapt_config(0.1, 2, 1e-3), np.random.default_rng(6))
     g_qry = grad_primary(adapt.theta_hat, ep.query)
@@ -306,8 +306,11 @@ def test_meta_step_report_is_json_serializable(setup):
     _, psi, ep, _ = setup
     state = MetaState.create(psi, sgd_config())
     _, rep = meta_step(state, [ep], np.random.default_rng(0))
-    line = json.dumps(rep.to_dict())
+    line = json.dumps(rep)
     decoded = json.loads(line)
+    assert list(decoded) == ["step", "cos", "gate_open", "query_used", "support_loss",
+                             "query_loss", "g_sup_norm", "g_qry_norm", "aux_targets",
+                             "meta_grad_norm"]
     assert decoded["step"] == 1
     assert len(decoded["cos"]) == 1
 
@@ -315,7 +318,7 @@ def test_meta_step_report_is_json_serializable(setup):
 @pytest.mark.parametrize("method,use_query",
                          [(m, False) for m in METHODS] + [("reptile", True)])
 def test_step_report_fields_per_method(method, use_query, setup, monkeypatch):
-    # Which StepReport fields each method fills; metrics.jsonl carries them.
+    # Which record keys each method fills; metrics.jsonl carries them.
     _, psi, ep, rng = setup
     calls = {"grad_primary": 0, "gate": 0}
     for name in calls:
@@ -328,26 +331,26 @@ def test_step_report_fields_per_method(method, use_query, setup, monkeypatch):
     state = MetaState.create(psi, config.meta_config())
     _, rep = _step_fn(method)(state, [ep, random_episode(rng)], np.random.default_rng(0))
     n = 2
-    json.dumps(rep.to_dict())
-    assert all(isinstance(x, float) for x in rep.support_losses)
+    json.dumps(rep)
+    assert all(isinstance(x, float) for x in rep["support_loss"])
     if method in ("fomaml", "reptile"):
-        assert rep.cos_values == rep.gates == rep.g_sup_norms == [None] * n
-        assert rep.aux_targets == [0] * n
+        assert rep["cos"] == rep["gate_open"] == rep["g_sup_norm"] == [None] * n
+        assert rep["aux_targets"] == [0] * n
         assert calls["gate"] == 0
     else:  # amgs_sup, too, logs the cosine it does not act on
-        assert all(isinstance(x, float) for x in rep.cos_values + rep.g_sup_norms)
-        assert all(isinstance(x, bool) for x in rep.gates)
-        assert all(x > 0 for x in rep.aux_targets)
+        assert all(isinstance(x, float) for x in rep["cos"] + rep["g_sup_norm"])
+        assert all(isinstance(x, bool) for x in rep["gate_open"])
+        assert all(x > 0 for x in rep["aux_targets"])
         assert calls["gate"] == n
     if method == "reptile":
-        assert rep.query_losses == rep.g_qry_norms == [None] * n
-        assert rep.query_used == [use_query] * n
+        assert rep["query_loss"] == rep["g_qry_norm"] == [None] * n
+        assert rep["query_used"] == [use_query] * n
         assert calls["grad_primary"] == 0
     else:
-        assert all(isinstance(x, float) for x in rep.query_losses + rep.g_qry_norms)
+        assert all(isinstance(x, float) for x in rep["query_loss"] + rep["g_qry_norm"])
         assert calls["grad_primary"] == n
     if method == "fomaml":
-        assert rep.query_used == [True] * n
+        assert rep["query_used"] == [True] * n
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +401,11 @@ def test_fomaml_skips_queryless_episodes_like_meta_step(setup):
     for a, b in ((s_ref.psi.to_flat(), s_fom.psi.to_flat()), (s_ref.m, s_fom.m),
                  (s_ref.v, s_fom.v)):
         assert a.tobytes() == b.tobytes()
-    assert r_fom.query_used == r_ref.query_used == [False, True, False]
-    assert r_fom.query_losses == r_ref.query_losses
-    assert r_fom.support_losses == r_ref.support_losses
-    assert r_fom.g_qry_norms == r_ref.g_qry_norms
-    assert r_fom.meta_grad_norm == r_ref.meta_grad_norm
+    assert r_fom["query_used"] == r_ref["query_used"] == [False, True, False]
+    assert r_fom["query_loss"] == r_ref["query_loss"]
+    assert r_fom["support_loss"] == r_ref["support_loss"]
+    assert r_fom["g_qry_norm"] == r_ref["g_qry_norm"]
+    assert r_fom["meta_grad_norm"] == r_ref["meta_grad_norm"]
 
 
 def _two_way_zero_setup():
@@ -455,7 +458,7 @@ def test_reptile_query_mode_changes_update(setup):
     s_all, rep = reptile_step(
         MetaState.create(psi, sgd_config(reptile_use_query=True)), [ep],
         np.random.default_rng(0))
-    assert rep.query_used == [True]
+    assert rep["query_used"] == [True]
     assert not np.array_equal(s_sup.psi.to_flat(), s_all.psi.to_flat())
 
 

@@ -1,14 +1,29 @@
-"""The arithmetic of tools/ab_pairs.py's nine-in-ten rule."""
+"""The arithmetic of tools/ab_pairs.py's nine-in-ten rule, and the exit
+status of tools/output_drift.py on a tiny run_training tree."""
 
 import importlib.util
+import json
 import pathlib
+import shutil
 
+import numpy as np
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
-ab_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_pairs)
+from metatext.harness import ExperimentConfig, gen_synthetic, run_training, write_split_file
+from metatext.model import ModelParams, read_checkpoint, save_params
+
+_TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_pairs = _load("ab_pairs")
+output_drift = _load("output_drift")
 
 
 def test_summary_counts_pairs_won_in_the_better_direction():
@@ -32,3 +47,67 @@ def test_summary_needs_nine_wins_and_a_gap_beyond_the_iqr():
     change = [b - 0.5 for b in base[:8]] + [2.0, 2.0]
     _, _, won, _, met = ab_pairs.summary(base, change, "lower")
     assert won == 8 and not met
+
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory):
+    """An output tree holding one amgs run, as tools/golden_hashes.py --keep
+    lays it out."""
+    root = tmp_path_factory.mktemp("drift")
+    names = gen_synthetic(root / "corpus.jsonl", num_classes=9, docs_per_class=6,
+                          tokens_per_class=5, overlap=0.5, doc_len_range=(4, 8), seed=0)
+    write_split_file(root / "split.json", names, 3, 3, 3)
+    config = ExperimentConfig(n_way=3, k_shot=1, query_per_class=2, inner_steps=2,
+                              d_emb=8, d_h=8, max_len=16, episodes_per_epoch_train=4,
+                              episodes_per_epoch_val=2, test_episodes=2, max_epochs=1,
+                              seeds=(1,), corpus_path=str(root / "corpus.jsonl"),
+                              split_path=str(root / "split.json"))
+    run_training(config, root / "tree" / "tiny" / "amgs-1")
+    return root / "tree"
+
+
+def _drift(tree, tmp_path, capsys, edit=None):
+    """output_drift's exit status and report for tree against a copy of it,
+    with edit(run directory of the copy) applied first."""
+    copy = tmp_path / "copy"
+    shutil.copytree(tree, copy)
+    if edit is not None:
+        edit(copy / "tiny" / "amgs-1")
+    status = output_drift.main([str(tree), str(copy)])
+    return status, capsys.readouterr().out
+
+
+def test_output_drift_passes_an_identical_tree(tree, tmp_path, capsys):
+    status, out = _drift(tree, tmp_path, capsys)
+    assert status == 0 and "1 runs compared" in out and "psi_rel=0 " in out
+
+
+def test_output_drift_fails_on_a_flipped_gate(tree, tmp_path, capsys):
+    def flip(run):
+        path = run / "metrics.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[1]["gate_open"][0] = not lines[1]["gate_open"][0]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    status, out = _drift(tree, tmp_path, capsys, flip)
+    assert status == 1 and "gate_open=DIFFERS" in out and "query_used=same" in out
+
+
+@pytest.mark.parametrize("scale,status", [(1e-12, 0), (1e-6, 1)])
+def test_output_drift_bounds_psi_movement(tree, tmp_path, capsys, scale, status):
+    # One entry of C moved by scale times the block's largest magnitude:
+    # inside PSI_TOL passes, beyond it fails.
+    def move(run):
+        path = run / "psi_seed1.bin"
+        _, psi, _ = read_checkpoint(path)
+        flat = psi.flat.copy()
+        block = psi.layout().slices["C"]
+        flat[block.start] += scale * np.abs(flat[block]).max()
+        save_params(path, ModelParams.from_flat(flat, psi.layout()))
+    got, out = _drift(tree, tmp_path, capsys, move)
+    assert got == status
+    assert ("; ok" in out) == (status == 0)
+
+
+def test_output_drift_fails_on_a_missing_run(tree, tmp_path, capsys):
+    status, out = _drift(tree, tmp_path, capsys, shutil.rmtree)
+    assert status == 1 and "tiny/amgs-1  only in" in out
