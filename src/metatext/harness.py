@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .episodes import ClassSplit, Corpus, Episode, load_corpus, load_split_file, make_splits, sample_episode
 from .meta import MetaConfig, MetaState, fine_tune, fomaml_step, meta_step, meta_test, reptile_step
-from .model import MaskedBatch, ModelConfig, ModelParams, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
+from .model import MaskedBatch, ModelConfig, ModelParams, check_number, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
 
 # Each method's MetaConfig: the experiment's values with these fields
 # replaced. fomaml_step and reptile_step apply FOMAML_PRESET and
@@ -93,22 +92,27 @@ class ExperimentConfig:
     split_path: str = ""
 
     def validate(self) -> None:
-        """Check the harness's own fields, then the meta-learner's config, whose
-        errors are re-raised as ConfigError."""
+        """Check the types of the harness's counts and the meta-learner's
+        config (its errors re-raised as ConfigError), then the harness's ranges."""
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
+            raise ConfigError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         positive = ("n_way", "k_shot", "query_per_class", "patience", "episodes_per_epoch_train",
                     "episodes_per_epoch_val", "test_episodes", "max_epochs", "meta_batch_size",
                     "d_emb", "d_h", "max_len")
         # A float or bool seed draws an integer seed's streams, and a float
         # count fails in range() mid-run, so both are rejected here.
-        integers = [(name, getattr(self, name)) for name in (*positive, "inner_steps", "min_freq")]
+        integers = [(name, getattr(self, name)) for name in (*positive, "min_freq")]
         integers += [("seeds", seed) for seed in self.seeds]
         if self.fine_tune_steps is not None:
             integers.append(("fine_tune_steps", self.fine_tune_steps))
-        for name, value in integers:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        try:
+            for name, value in integers:
+                check_number(name, value, integer=True)
+            self.meta_config().validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -116,17 +120,13 @@ class ExperimentConfig:
             raise ConfigError("inner_lr must be positive")
         if self.min_freq < 0:
             raise ConfigError("min_freq must be non-negative")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
         repeated = [s for s in self.seeds if list(self.seeds).count(s) > 1]
         if repeated:
             raise ConfigError(f"seeds must be distinct; seed {repeated[0]} is repeated")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative; seed {min(self.seeds)} is negative")
         if self.fine_tune_steps is not None and self.fine_tune_steps < 0:
             raise ConfigError("fine_tune_steps must be non-negative")
-        try:
-            self.meta_config().validate()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
 
     @classmethod
     def field_names(cls) -> tuple:

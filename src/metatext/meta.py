@@ -12,10 +12,11 @@ default; a plain-SGD mode exists so single steps can be checked against
 hand-assembled sums.
 
 One loop, _step, runs every method and reads its behaviour from a MetaConfig:
-FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are settings of the gated
-update. Besides the preset, the step functions set whether the cosine is taken
-and logged (meta_step only) and whether the query set joins the inner batch
-(reptile_step with reptile_use_query).
+it adapts each episode through inner_adapt and takes the query loss, gradient
+and gate itself. FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are
+settings of the gated update. Besides the preset, the step functions set
+whether the cosine is taken and logged (meta_step only) and whether the query
+set joins the inner batch (reptile_step with reptile_use_query).
 
 One routine, _descend, runs the support-set descent of both the inner loop
 (inner_adapt) and test-time fine-tuning (fine_tune): it reads the rate and the
@@ -37,11 +38,12 @@ from .model import (
     PAD_ID,
     MaskedBatch,
     ModelParams,
-    NumericalError,
     PackedBatch,
     ParamLayout,
     _branches,
+    _check_finite,
     check_masking,
+    check_number,
     grad_primary,
     grad_total,
     primary_loss,
@@ -103,6 +105,9 @@ class MetaConfig:
     reptile_use_query: bool = False
 
     def validate(self) -> None:
+        for name in ("inner_lr", "meta_lr", "aux_weight", "gate_threshold", "mask_prob"):
+            check_number(name, getattr(self, name))
+        check_number("inner_steps", self.inner_steps, integer=True)
         if self.inner_lr < 0:
             raise ValueError("inner_lr must be non-negative")
         if self.meta_lr <= 0:
@@ -201,20 +206,17 @@ class _WorkingSet:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptResult:
-    """One support-set descent from psi under cfg (an episode's inner loop or
-    a fine-tune) and, after evaluate_episode, its query side.
+    """One support-set descent from psi under cfg: an episode's inner loop or
+    a fine-tune.
 
     The descent moved work's entries of psi, and first_step is its first
     gradient in work's compact layout. first_grad (that gradient in psi's
     layout, zero off the working set) and accumulated (the movement
     (psi - theta_hat)/inner_lr, zero at a zero rate) are computed on first
     read: FOMAML reads neither. g_sup, which the cosine compares against, is
-    accumulated or first_grad, per cfg.support_direction. Query fields stay
-    None where no query gradient was taken; the predictor-head blocks of
-    g_qry are exactly zero whenever it exists, and norms holds the
-    primary-block norms of g_sup and g_qry that the gate took.
+    accumulated or first_grad, per cfg.support_direction.
     """
 
     psi: ModelParams
@@ -224,11 +226,6 @@ class AdaptResult:
     first_step: np.ndarray
     loss_trace: list
     masked: MaskedBatch | None
-    g_qry: np.ndarray | None = None
-    query_loss: float | None = None
-    cos_value: float | None = None
-    gate_open: bool | None = None
-    norms: tuple[float, float] | None = None
 
     @functools.cached_property
     def first_grad(self) -> np.ndarray:
@@ -286,12 +283,8 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
 
 def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Generator, *,
                 masked: MaskedBatch | None = None) -> AdaptResult:
-    """Adapt psi to one episode's support set with cfg.inner_steps GD steps.
-
-    The support direction for the gate is either the accumulated movement
-    (psi - theta_hat)/inner_lr or the first-step gradient, per
-    cfg.support_direction.
-    """
+    """Adapt psi to one episode's support set with cfg.inner_steps GD steps;
+    the result's g_sup is the support direction the gate compares against."""
     if cfg.inner_steps < 1:
         raise ValueError("inner_steps must be at least 1")
     return _descend(psi, episode.support, cfg.inner_steps, cfg.aux_weight, cfg, rng, masked)
@@ -321,8 +314,7 @@ def gate(g_sup: np.ndarray, g_qry: np.ndarray, layout: ParamLayout, threshold: f
 
 def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
     """One optimizer step on the flat meta-parameters; returns a new state."""
-    if not np.all(np.isfinite(meta_grad)):
-        raise NumericalError("meta-gradient contains non-finite entries")
+    _check_finite(meta_grad, state.psi.layout(), "meta-gradient assembly")
     cfg = state.cfg
     t = state.step_count + 1
     if cfg.meta_optimizer == "sgd":
@@ -338,38 +330,18 @@ def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
                      step_count=t, cfg=cfg)
 
 
-def evaluate_episode(psi: ModelParams, episode, cfg: MetaConfig,
-                     rng: np.random.Generator, *, cosine: bool = True) -> AdaptResult:
-    """Run one episode's inner loop, then take the query gradient at the
-    adapted parameters where the update or the cosine uses it.
-
-    With cosine (the AMGS family) the query gradient is gated by its cosine
-    against the support direction. An episode without a query set gets no
-    gradient, no cosine, and a closed gate, so it can only contribute its
-    support term.
-    """
-    res = inner_adapt(psi, episode, cfg, rng)
-    res.gate_open = False if cosine else None
-    if episode.query and (cosine or cfg.query_mode != "never"):
-        query = PackedBatch.pack(episode.query)
-        res.query_loss, _ = primary_loss(res.theta_hat, query)
-        res.g_qry = grad_primary(res.theta_hat, query)
-        if cosine:
-            res.cos_value, res.gate_open, res.norms = gate(res.g_sup, res.g_qry,
-                                                           psi.layout(), cfg.gate_threshold)
-    return res
-
-
 def _step(state: MetaState, episode_batch, rng: np.random.Generator,
           cfg: MetaConfig, *, cosine: bool, query_in_inner: bool = False
           ) -> tuple[MetaState, dict]:
     """The meta-update of every step function, under cfg (state.cfg or a
     baseline preset of it): per episode, adapt on the support set (plus the
-    query set with query_in_inner) and add the support term and the query
-    gradient cfg lets in; then one optimizer step. cosine takes and logs the
-    gate's cosine. Returns the new state and the step's record as
-    metrics.jsonl writes it: step, one list per EPISODE_KEYS entry with an
-    item per episode, and meta_grad_norm."""
+    query set with query_in_inner), take the query gradient at the adapted
+    parameters where the update or the cosine reads it, and add the support
+    term and the query gradient cfg lets in; then one optimizer step. cosine
+    gates the query gradient by its cosine against the support direction; an
+    episode without a query set gets no gradient, no cosine and a closed gate.
+    Returns the new state and the step's metrics.jsonl record: step, one list
+    per EPISODE_KEYS entry with an item per episode, and meta_grad_norm."""
     if not episode_batch:
         raise ValueError("episode batch is empty")
     meta_grad = np.zeros_like(state.psi.flat)
@@ -378,22 +350,28 @@ def _step(state: MetaState, episode_batch, rng: np.random.Generator,
     for ep in episode_batch:
         if query_in_inner:
             ep = replace(ep, support=list(ep.support) + list(ep.query))
-        res = evaluate_episode(state.psi, ep, cfg, rng, cosine=cosine)
+        res = inner_adapt(state.psi, ep, cfg, rng)
         if cfg.include_support:
             term = res.first_grad if cfg.support_term == "first_step" else res.accumulated
             meta_grad += term
-        include_query = res.g_qry is not None and (
+        cos = gate_open = query_loss = g_qry = norms = None
+        if ep.query and (cosine or cfg.query_mode != "never"):
+            query = PackedBatch.pack(ep.query)
+            query_loss, _ = primary_loss(res.theta_hat, query)
+            g_qry = grad_primary(res.theta_hat, query)
+            if cosine:
+                cos, gate_open, norms = gate(res.g_sup, g_qry, layout, cfg.gate_threshold)
+        include_query = g_qry is not None and (
             cfg.query_mode == "always"
-            or (cfg.query_mode == "gated" and res.gate_open))
+            or (cfg.query_mode == "gated" and gate_open))
         if include_query:
-            meta_grad += res.g_qry
-        # The gate's norms where it ran; else each norm the report shows.
-        norms = res.norms or (
+            meta_grad += g_qry
+        # The gate's norms where it ran; else each norm the record shows.
+        norms = norms or (
             float(np.linalg.norm(layout.primary(res.g_sup))) if cosine else None,
-            float(np.linalg.norm(layout.primary(res.g_qry))) if res.g_qry is not None else None)
-        rows.append((res.cos_value, res.gate_open if res.g_qry is not None else None,
-                     include_query or query_in_inner, res.loss_trace[-1], res.query_loss,
-                     *norms, res.masked.num_targets if res.masked is not None else 0))
+            float(np.linalg.norm(layout.primary(g_qry))) if g_qry is not None else None)
+        rows.append((cos, gate_open, include_query or query_in_inner, res.loss_trace[-1],
+                     query_loss, *norms, res.masked.num_targets if res.masked is not None else 0))
     new_state = _apply_update(state, meta_grad)
     columns = dict(zip(EPISODE_KEYS, map(list, zip(*rows))))
     return new_state, {"step": new_state.step_count, **columns,
@@ -458,10 +436,10 @@ def meta_test(psi: ModelParams, episode, steps: int, use_mtp: bool, cfg: MetaCon
     lowest label index.
     """
     theta = fine_tune(psi, episode.support, steps, use_mtp, cfg, rng)
-    _, logits = primary_loss(theta, episode.query)
+    query = PackedBatch.pack(episode.query)
+    _, logits = primary_loss(theta, query)
     preds = logits.argmax(axis=1)
-    labels = np.asarray([lbl for _, lbl in episode.query], dtype=np.int64)
-    accuracy = float((preds == labels).mean())
+    accuracy = float((preds == query.labels).mean())
     return accuracy, preds
 
 

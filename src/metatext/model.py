@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +242,15 @@ class MaskedBatch:
             masked_seqs.append(mseq)
             targets.extend((si, pos, orig) for pos, orig in seq_targets)
         return cls(sequences=masked_seqs, targets=targets, n_skipped=n_skipped)
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ValueError unless value is a finite number, or an integer with
+    integer set; a bool is neither."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+            isinstance(value, numbers.Integral) or math.isfinite(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def check_masking(mask_prob: float, strategy) -> tuple[float, float, float]:

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from metatext import meta, model
 from metatext.episodes import Episode
-from metatext.meta import (FOMAML_PRESET, MetaConfig, MetaState, evaluate_episode, fine_tune,
-                           fomaml_step, inner_adapt, meta_step, reptile_step)
+from metatext.meta import (MetaConfig, MetaState, fine_tune, fomaml_step, inner_adapt, meta_step,
+                           reptile_step)
 from metatext.model import (FIRST_REAL_ID, PAD_ID, UNK_ID, EncodingError, MaskedBatch,
                             ModelConfig, ModelParams, NumericalError, PackedBatch, ParamLayout,
                             aux_loss, grad_primary, grad_total, primary_loss, total_loss)
@@ -135,7 +135,7 @@ def test_one_forward_pass_per_step(monkeypatch):
         meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight)
         assert forwards(inner_adapt, psi, ep, meta_cfg, rng) == steps
         assert forwards(fine_tune, psi, ep.support, steps, True, meta_cfg, rng) == steps
-        assert forwards(evaluate_episode, psi, ep, meta_cfg, rng) == steps + 1
+        assert forwards(meta_step, MetaState.create(psi, meta_cfg), [ep], rng) == steps + 1
     assert forwards(fine_tune, psi, ep.support, steps, False, MetaConfig(inner_lr=0.3),
                     rng) == steps
 
@@ -807,7 +807,6 @@ def test_fomaml_never_computes_the_accumulated_movement(monkeypatch):
     monkeypatch.setattr(meta.AdaptResult, "accumulated",
                         property(lambda res: reads.append(1) or movement(res)))
     fomaml_step(MetaState.create(psi, meta_cfg), episodes, rng)
-    evaluate_episode(psi, episodes[0], replace(meta_cfg, **FOMAML_PRESET), rng, cosine=False)
     assert reads == []
     meta_step(MetaState.create(psi, meta_cfg), episodes, rng)
     assert reads

@@ -16,6 +16,7 @@ from metatext.harness import (
     run_training,
     write_split_file,
 )
+from metatext.meta import MetaConfig
 from metatext.model import ModelConfig
 
 from conftest import random_episode, write_jsonl
@@ -83,19 +84,49 @@ def test_config_rejects_repeated_seeds(synth, tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [("seeds", [1, 1.5]), ("seeds", [1, True]),
-                                         ("inner_steps", 2.5), ("fine_tune_steps", 2.5),
-                                         ("n_way", 3.0), ("min_freq", False)])
+                                         ("inner_steps", 2.5), ("inner_steps", True),
+                                         ("fine_tune_steps", 2.5), ("n_way", 3.0),
+                                         ("min_freq", False)])
 def test_config_rejects_non_integer_seeds_and_counts(synth, field, value):
     # Seed 1.5 or True draws seed 1's streams, so seed 1 would train twice and
-    # count twice in the mean; a float count fails inside range() mid-run.
+    # count twice in the mean; a float count fails inside range() mid-run, and
+    # inner_steps=True runs one step. MetaConfig rejects its own count too.
     data = tiny_config(synth).to_dict()
     data[field] = value
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         ExperimentConfig.from_dict(data)
+    if hasattr(MetaConfig, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            MetaConfig(**{field: value}).validate()
+
+
+def test_config_rejects_negative_seed(synth, tmp_path):
+    # _rng raises on a negative seed only when that seed's turn comes, after
+    # every seed before it has trained and written its outputs.
+    with pytest.raises(ConfigError, match="seed -1 is negative"):
+        run_training(tiny_config(synth, seeds=(1, -1)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [("inner_lr", float("nan")), ("meta_lr", float("inf")),
+                                         ("gate_threshold", float("nan")),
+                                         ("gate_threshold", float("-inf")),
+                                         ("aux_weight", "x"), ("mask_prob", "x"), ("seeds", 3)])
+def test_config_rejects_non_finite_and_non_numeric_settings(synth, field, value):
+    # A NaN threshold fails every cos >= threshold, so every gate would stay
+    # closed without an error; a string or a bare seed raised TypeError.
+    data = tiny_config(synth).to_dict()
+    data[field] = value
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(data)
+    if hasattr(MetaConfig, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            MetaConfig(**{field: value}).validate()
 
 
 def test_config_accepts_numpy_integer_seeds(synth):
-    tiny_config(synth, seeds=(np.int64(1), 2), fine_tune_steps=np.int64(0)).validate()
+    # 10**400 has no float value, so no finiteness check may convert it.
+    tiny_config(synth, seeds=(np.int64(1), 2, 10**400), fine_tune_steps=np.int64(0)).validate()
 
 
 def test_run_training_skips_empty_documents(tmp_path):

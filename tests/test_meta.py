@@ -11,7 +11,6 @@ from metatext.meta import (
     MetaConfig,
     MetaState,
     _apply_update,
-    evaluate_episode,
     fine_tune,
     fomaml_step,
     gate,
@@ -27,7 +26,6 @@ from metatext.model import (
     ModelConfig,
     ModelParams,
     NumericalError,
-    PREDICTOR_BLOCKS,
     grad_primary,
     grad_total,
     total_loss,
@@ -193,29 +191,30 @@ def test_gate_layout_mismatch(setup):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_episode / meta_step
+# meta_step: an episode's query side and its record
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, -0.5])
 def test_evaluate_episode_invariants(threshold, setup):
+    # The predictor blocks of the query gradient are exactly zero:
+    # test_gradients.py::test_primary_gradient_predictor_blocks_exactly_zero.
     _, psi, ep, _ = setup
     cfg = MetaConfig(inner_lr=0.1, meta_lr=0.05, inner_steps=3, aux_weight=1e-3,
                      gate_threshold=threshold)
-    res = evaluate_episode(psi, ep, cfg, np.random.default_rng(0))
-    assert res.gate_open == (res.cos_value >= threshold)
-    layout = psi.layout()
-    assert all(np.all(res.g_qry[layout.slices[name]] == 0.0) for name in PREDICTOR_BLOCKS)
-    assert len(res.loss_trace) == cfg.inner_steps
-    assert -1.0 <= res.cos_value <= 1.0
+    _, rep = meta_step(MetaState.create(psi, cfg), [ep], np.random.default_rng(0))
+    (cos,), (gate_open,) = rep["cos"], rep["gate_open"]
+    assert gate_open == (cos >= threshold) and rep["query_used"] == [gate_open]
+    assert -1.0 <= cos <= 1.0
+    assert len(inner_adapt(psi, ep, cfg, np.random.default_rng(0)).loss_trace) == cfg.inner_steps
 
 
 def test_evaluate_episode_without_query(setup):
     _, psi, ep, _ = setup
     cfg = MetaConfig(inner_lr=0.1, meta_lr=0.05, inner_steps=2)
     bare = Episode(support=ep.support, query=[], label_map=ep.label_map)
-    res = evaluate_episode(psi, bare, cfg, np.random.default_rng(0))
-    assert res.g_qry is None and res.cos_value is None
-    assert res.gate_open is False
+    _, rep = meta_step(MetaState.create(psi, cfg), [bare], np.random.default_rng(0))
+    assert rep["cos"] == rep["gate_open"] == rep["g_qry_norm"] == rep["query_loss"] == [None]
+    assert rep["query_used"] == [False] and rep["g_sup_norm"][0] > 0.0
 
 
 def test_meta_step_closed_gate_equals_deleted_query(setup):
@@ -548,8 +547,8 @@ def test_apply_update_rejects_nonfinite(setup):
     _, psi, _, _ = setup
     state = MetaState.create(psi, sgd_config())
     g = np.zeros(psi.layout().size)
-    g[0] = np.nan
-    with pytest.raises(NumericalError):
+    g[psi.layout().slices["C"].start] = np.nan
+    with pytest.raises(NumericalError, match="in block C"):
         _apply_update(state, g)
 
 
