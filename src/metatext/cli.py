@@ -16,6 +16,7 @@ import numpy as np
 
 from .harness import (
     DEFAULT_GRIDS,
+    ConfigError,
     ExperimentConfig,
     check_gradients,
     export_embeddings,
@@ -47,10 +48,15 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"--config must hold a JSON object, got {type(data).__name__}")
     data.update(_parse_set(getattr(args, "set", None)))
     extra_seeds = getattr(args, "seed", None) or []
     if extra_seeds:
-        data["seeds"] = list(data.get("seeds", [])) + [int(s) for s in extra_seeds]
+        seeds = data.get("seeds", [])
+        if not isinstance(seeds, list):
+            raise ConfigError(f"--seed appends to a list of seeds, got seeds={seeds!r}")
+        data["seeds"] = seeds + [int(s) for s in extra_seeds]
     return ExperimentConfig.from_dict(data)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .episodes import ClassSplit, Corpus, Episode, load_corpus, load_split_file, make_splits, sample_episode
 from .meta import MetaConfig, MetaState, fine_tune, fomaml_step, meta_step, meta_test, reptile_step
-from .model import MaskedBatch, ModelConfig, ModelParams, check_number, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
+from .model import ConfigError, MaskedBatch, ModelConfig, ModelParams, check_fields, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
 
 # Each method's MetaConfig: the experiment's values with these fields
 # replaced. fomaml_step and reptile_step apply FOMAML_PRESET and
@@ -42,10 +42,6 @@ _RNG_TEST_SAMPLE = 7
 _RNG_TEST_ADAPT = 8
 
 
-class ConfigError(ValueError):
-    """Experiment configuration is invalid."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: method, episode shape, model size, loop sizes, paths.
@@ -66,7 +62,7 @@ class ExperimentConfig:
     meta_lr: float = 0.05
     aux_weight: float = 1e-3
     mask_prob: float = 0.30
-    mask_strategy: tuple = (1.0, 0.0, 0.0)
+    mask_strategy: tuple[float, ...] = (1.0, 0.0, 0.0)
     # model
     d_emb: int = 32
     d_h: int = 32
@@ -79,7 +75,7 @@ class ExperimentConfig:
     patience: int = 3
     max_epochs: int = 15
     meta_batch_size: int = 1
-    seeds: tuple = (1, 2, 3, 4, 5)
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     # strategy switches
     support_direction: str = "accumulated"
     support_term: str = "accumulated"
@@ -91,36 +87,24 @@ class ExperimentConfig:
     corpus_path: str = ""
     split_path: str = ""
 
-    def validate(self) -> None:
-        """Check the types of the harness's counts and the meta-learner's
-        config (its errors re-raised as ConfigError), then the harness's ranges."""
+    def __post_init__(self):
+        """Check the fields' types, the meta-learner's settings and the harness's ranges."""
+        check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
-            raise ConfigError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
-        positive = ("n_way", "k_shot", "query_per_class", "patience", "episodes_per_epoch_train",
-                    "episodes_per_epoch_val", "test_episodes", "max_epochs", "meta_batch_size",
-                    "d_emb", "d_h", "max_len")
-        # A float or bool seed draws an integer seed's streams, and a float
-        # count fails in range() mid-run, so both are rejected here.
-        integers = [(name, getattr(self, name)) for name in (*positive, "min_freq")]
-        integers += [("seeds", seed) for seed in self.seeds]
-        if self.fine_tune_steps is not None:
-            integers.append(("fine_tune_steps", self.fine_tune_steps))
-        try:
-            for name, value in integers:
-                check_number(name, value, integer=True)
-            self.meta_config().validate()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        for name in positive:
+        self.meta_config()  # MetaConfig checks its own fields
+        for name in ("n_way", "k_shot", "query_per_class", "patience", "episodes_per_epoch_train",
+                     "episodes_per_epoch_val", "test_episodes", "max_epochs", "meta_batch_size",
+                     "d_emb", "d_h", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.inner_lr <= 0:
             raise ConfigError("inner_lr must be positive")
         if self.min_freq < 0:
             raise ConfigError("min_freq must be non-negative")
-        repeated = [s for s in self.seeds if list(self.seeds).count(s) > 1]
+        if not self.seeds:
+            raise ConfigError("seeds must be a non-empty list of integers")
+        repeated = [s for s in self.seeds if self.seeds.count(s) > 1]
         if repeated:
             raise ConfigError(f"seeds must be distinct; seed {repeated[0]} is repeated")
         if min(self.seeds) < 0:
@@ -138,19 +122,10 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        data = dict(data)
-        for key in ("mask_strategy", "seeds"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["mask_strategy"] = list(self.mask_strategy)
-        d["seeds"] = list(self.seeds)
-        return d
+        return dataclasses.asdict(self)
 
     def effective_fine_tune_steps(self) -> int:
         return self.inner_steps if self.fine_tune_steps is None else self.fine_tune_steps
@@ -162,12 +137,10 @@ class ExperimentConfig:
                 self.use_mtp_test and self.method in AMGS_FAMILY, self.meta_config())
 
     def meta_config(self) -> MetaConfig:
-        return replace(MetaConfig(
-            inner_lr=self.inner_lr, meta_lr=self.meta_lr, inner_steps=self.inner_steps,
-            aux_weight=self.aux_weight, gate_threshold=self.gate_threshold,
-            mask_prob=self.mask_prob, mask_strategy=tuple(self.mask_strategy),
-            support_direction=self.support_direction, support_term=self.support_term,
-            reptile_use_query=self.reptile_use_query), **METHOD_PRESETS[self.method])
+        """The MetaConfig of the fields both configs share, plus the method's preset."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(MetaConfig)
+                  if hasattr(self, f.name)}
+        return MetaConfig(**{**shared, **METHOD_PRESETS[self.method]})
 
 
 @dataclass
@@ -315,7 +288,6 @@ def run_training(config: ExperimentConfig, out_dir=None) -> RunResult:
     (seed, epoch, train_acc, val_acc), summary.csv, and a best-parameter
     checkpoint per seed.
     """
-    config.validate()
     corpus, split = load_experiment_data(config)
 
     metrics_fh = None
@@ -377,12 +349,6 @@ DEFAULT_GRIDS = {
 }
 
 
-def _grid_value(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
 def run_ablation(config: ExperimentConfig, grid: dict, out_dir=None) -> list:
     """Run the Cartesian product of a named parameter grid.
 
@@ -396,18 +362,18 @@ def run_ablation(config: ExperimentConfig, grid: dict, out_dir=None) -> list:
     if bad:
         raise ConfigError(f"unknown grid keys: {bad}")
     keys = list(grid.keys())
-    value_lists = []
     for key in keys:
         values = grid[key]
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"grid key {key!r} must map to a non-empty list")
-        value_lists.append([_grid_value(v) for v in values])
+    # Every point is built, and so checked, before any point trains.
+    configs = [replace(config, **dict(zip(keys, combo)))
+               for combo in itertools.product(*(grid[key] for key in keys))]
 
     results = []
     rows = []
-    for i, combo in enumerate(itertools.product(*value_lists)):
-        point = dict(zip(keys, combo))
-        point_config = replace(config, **point)
+    for i, point_config in enumerate(configs):
+        point = {key: getattr(point_config, key) for key in keys}
         point_dir = os.path.join(out_dir, f"point_{i:03d}") if out_dir is not None else None
         run = run_training(point_config, point_dir)
         results.append((point, run))

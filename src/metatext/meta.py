@@ -36,14 +36,15 @@ import numpy as np
 
 from .model import (
     PAD_ID,
+    ConfigError,
     MaskedBatch,
     ModelParams,
     PackedBatch,
     ParamLayout,
     _branches,
     _check_finite,
+    check_fields,
     check_masking,
-    check_number,
     grad_primary,
     grad_total,
     primary_loss,
@@ -80,7 +81,8 @@ class MetaConfig:
 
     The defaults for inner_lr and meta_lr follow the reference fine-tuning
     protocol for large pretrained encoders; from-scratch desk-scale runs want
-    far larger rates (see harness defaults).
+    far larger rates (see harness defaults). An instance checks its fields
+    when built and raises ConfigError.
     """
 
     inner_lr: float = 5e-5
@@ -89,7 +91,7 @@ class MetaConfig:
     aux_weight: float = 1e-3
     gate_threshold: float = 0.0
     mask_prob: float = 0.30
-    mask_strategy: tuple = (1.0, 0.0, 0.0)
+    mask_strategy: tuple[float, ...] = (1.0, 0.0, 0.0)
     # Direction compared against the query gradient: the accumulated
     # inner-loop movement (psi - theta_hat)/lr, or the first support gradient.
     support_direction: str = "accumulated"
@@ -104,26 +106,24 @@ class MetaConfig:
     meta_optimizer: str = "adam"     # adam | sgd (sgd exists for exact checks)
     reptile_use_query: bool = False
 
-    def validate(self) -> None:
-        for name in ("inner_lr", "meta_lr", "aux_weight", "gate_threshold", "mask_prob"):
-            check_number(name, getattr(self, name))
-        check_number("inner_steps", self.inner_steps, integer=True)
+    def __post_init__(self):
+        check_fields(self)
         if self.inner_lr < 0:
-            raise ValueError("inner_lr must be non-negative")
+            raise ConfigError("inner_lr must be non-negative")
         if self.meta_lr <= 0:
-            raise ValueError("meta_lr must be positive")
+            raise ConfigError("meta_lr must be positive")
         if self.inner_steps < 1:
-            raise ValueError("inner_steps must be at least 1")
+            raise ConfigError("inner_steps must be at least 1")
         if not 0.0 <= self.aux_weight <= 1.0:
-            raise ValueError("aux_weight must be in [0, 1]")
+            raise ConfigError("aux_weight must be in [0, 1]")
         if self.support_direction not in ("accumulated", "first_step"):
-            raise ValueError(f"unknown support_direction {self.support_direction!r}")
+            raise ConfigError(f"unknown support_direction {self.support_direction!r}")
         if self.support_term not in ("first_step", "accumulated"):
-            raise ValueError(f"unknown support_term {self.support_term!r}")
+            raise ConfigError(f"unknown support_term {self.support_term!r}")
         if self.query_mode not in ("gated", "always", "never"):
-            raise ValueError(f"unknown query_mode {self.query_mode!r}")
+            raise ConfigError(f"unknown query_mode {self.query_mode!r}")
         if self.meta_optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown meta_optimizer {self.meta_optimizer!r}")
+            raise ConfigError(f"unknown meta_optimizer {self.meta_optimizer!r}")
         check_masking(self.mask_prob, self.mask_strategy)
 
 
@@ -140,7 +140,6 @@ class MetaState:
 
     @classmethod
     def create(cls, psi: ModelParams, cfg: MetaConfig) -> "MetaState":
-        cfg.validate()
         return cls(psi=psi, m=np.zeros_like(psi.flat), v=np.zeros_like(psi.flat),
                    step_count=0, cfg=cfg)
 
@@ -285,8 +284,6 @@ def inner_adapt(psi: ModelParams, episode, cfg: MetaConfig, rng: np.random.Gener
                 masked: MaskedBatch | None = None) -> AdaptResult:
     """Adapt psi to one episode's support set with cfg.inner_steps GD steps;
     the result's g_sup is the support direction the gate compares against."""
-    if cfg.inner_steps < 1:
-        raise ValueError("inner_steps must be at least 1")
     return _descend(psi, episode.support, cfg.inner_steps, cfg.aux_weight, cfg, rng, masked)
 
 

@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,10 @@ CLASSIFIER_BLOCKS = ("C", "c0")
 PREDICTOR_BLOCKS = ("P", "p0")
 # Blocks touched by the primary branch; the cosine gate works on this subset.
 PRIMARY_BLOCKS = ENCODER_BLOCKS + CLASSIFIER_BLOCKS
+
+
+class ConfigError(ValueError):
+    """A configuration setting is invalid."""
 
 
 class EncodingError(ValueError):
@@ -107,13 +111,14 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        check_fields(self)
         if self.vocab_size < FIRST_REAL_ID:
-            raise ValueError("vocab_size must cover the reserved PAD/UNK/MASK ids")
+            raise ConfigError("vocab_size must cover the reserved PAD/UNK/MASK ids")
         for name in ("d_emb", "d_h", "n_way"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be 'float64' or 'float32'")
+            raise ConfigError("dtype must be 'float64' or 'float32'")
 
     def layout(self) -> ParamLayout:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way,
@@ -245,23 +250,49 @@ class MaskedBatch:
 
 
 def check_number(name: str, value, integer: bool = False) -> None:
-    """Raise ValueError unless value is a finite number, or an integer with
+    """Raise ConfigError unless value is a finite number, or an integer with
     integer set; a bool is neither."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
     if isinstance(value, bool) or not isinstance(value, kind) or not (
             isinstance(value, numbers.Integral) or math.isfinite(value)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+_KINDS = {"bool": bool, "str": str, "tuple": (list, tuple)}
+
+
+def _checked(name: str, value, annotation: str):
+    """value as a field annotated so stores it, or ConfigError."""
+    kind, _, optional = annotation.partition(" | ")
+    kind, _, item = kind.partition("[")
+    if value is None and optional == "None":
+        return value
+    if kind in ("int", "float"):
+        check_number(name, value, integer=kind == "int")
+    elif not isinstance(value, _KINDS[kind]):
+        raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+    return tuple(_checked(name, v, item.partition(",")[0]) for v in value) if item else value
+
+
+def check_fields(config) -> None:
+    """Check every field of a frozen dataclass config against its annotation
+    (a string, as annotations are postponed): int and float through
+    check_number, bool and str by type, tuple[X, ...] as a list or tuple of X,
+    stored as a tuple; X | None also takes None. Raises ConfigError naming
+    the field."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, _checked(f.name, getattr(config, f.name), f.type))
 
 
 def check_masking(mask_prob: float, strategy) -> tuple[float, float, float]:
     """Check a masking probability and (mask, same, random) replacement
     proportions; returns the proportions as floats."""
     if not 0.0 < mask_prob <= 1.0:
-        raise ValueError(f"mask_prob must be in (0, 1], got {mask_prob}")
+        raise ConfigError(f"mask_prob must be in (0, 1], got {mask_prob}")
     strategy = tuple(float(p) for p in strategy)
     if len(strategy) != 3 or any(p < 0 for p in strategy) or abs(sum(strategy) - 1.0) > 1e-9:
-        raise ValueError("mask_strategy must be 3 non-negative proportions summing to 1, "
-                         f"got {strategy}")
+        raise ConfigError("mask_strategy must be 3 non-negative proportions summing to 1, "
+                          f"got {strategy}")
     return strategy
 
 

@@ -93,6 +93,23 @@ def test_train_rejects_bad_set_value(workspace, capsys):
     assert payload["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("config_text,extra", [
+    (None, ["--set", "seeds=3", "--seed", "4"]), ("[1, 2]", []),
+    (None, ["--set", "use_mtp_test=no"])])
+def test_train_rejects_bad_config_input(workspace, capsys, config_text, extra):
+    # seeds=3 with --seed raised TypeError, a JSON list as the config raised
+    # AttributeError, and use_mtp_test=no trained with the masked-token term on.
+    config = workspace / "config.json"
+    if config_text is not None:
+        config = workspace / "list_config.json"
+        config.write_text(config_text)
+    rc = main(["train", "--config", str(config), *extra, "--out", str(workspace / "run_bad")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigError"
+    assert not (workspace / "run_bad").exists()
+
+
 def test_train_missing_corpus_exits_nonzero(workspace, capsys):
     rc = main(["train", "--config", str(workspace / "config.json"),
                "--set", "corpus_path=/nonexistent/corpus.jsonl"])

@@ -50,30 +50,30 @@ def tiny_config(synth, **kw):
 
 def test_config_validation_catches_bad_fields(synth):
     with pytest.raises(ConfigError, match="method"):
-        tiny_config(synth, method="maml2").validate()
+        tiny_config(synth, method="maml2")
     with pytest.raises(ConfigError, match="patience"):
-        tiny_config(synth, patience=0).validate()
+        tiny_config(synth, patience=0)
     with pytest.raises(ConfigError, match="seeds"):
-        tiny_config(synth, seeds=()).validate()
+        tiny_config(synth, seeds=())
     with pytest.raises(ConfigError, match="positive"):
-        tiny_config(synth, meta_lr=0.0).validate()
+        tiny_config(synth, meta_lr=0.0)
     with pytest.raises(ConfigError, match="aux_weight"):
-        tiny_config(synth, aux_weight=1.5).validate()
+        tiny_config(synth, aux_weight=1.5)
     with pytest.raises(ConfigError, match="mask_strategy"):
-        tiny_config(synth, mask_strategy=(0.5, 0.2, 0.2)).validate()
+        tiny_config(synth, mask_strategy=(0.5, 0.2, 0.2))
     with pytest.raises(ConfigError, match="mask_prob"):
-        tiny_config(synth, mask_prob=0.0).validate()
+        tiny_config(synth, mask_prob=0.0)
     with pytest.raises(ConfigError, match="support_term"):
-        tiny_config(synth, method="reptile", support_term="last").validate()
+        tiny_config(synth, method="reptile", support_term="last")
     with pytest.raises(ConfigError, match="inner_steps"):
-        tiny_config(synth, inner_steps=0).validate()
+        tiny_config(synth, inner_steps=0)
 
 
 def test_config_rejects_repeated_seeds(synth, tmp_path):
     # A repeated seed would train twice, write one checkpoint and count twice
     # in the mean.
     with pytest.raises(ConfigError, match="seed 2 is repeated"):
-        tiny_config(synth, seeds=(1, 2, 3, 2)).validate()
+        tiny_config(synth, seeds=(1, 2, 3, 2))
     data = tiny_config(synth).to_dict()
     data["seeds"] = [2, 2]
     with pytest.raises(ConfigError, match="seed 2"):
@@ -97,7 +97,7 @@ def test_config_rejects_non_integer_seeds_and_counts(synth, field, value):
         ExperimentConfig.from_dict(data)
     if hasattr(MetaConfig, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
-            MetaConfig(**{field: value}).validate()
+            MetaConfig(**{field: value})
 
 
 def test_config_rejects_negative_seed(synth, tmp_path):
@@ -121,12 +121,26 @@ def test_config_rejects_non_finite_and_non_numeric_settings(synth, field, value)
         ExperimentConfig.from_dict(data)
     if hasattr(MetaConfig, field):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
-            MetaConfig(**{field: value}).validate()
+            MetaConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config,kw", [
+    (ExperimentConfig, {"corpus_path": 3}), (ExperimentConfig, {"split_path": 3}),
+    (ExperimentConfig, {"use_mtp_test": "no"}), (ExperimentConfig, {"reptile_use_query": "no"}),
+    (ExperimentConfig, {"mask_strategy": 5}), (MetaConfig, {"include_support": 1}),
+    (MetaConfig, {"reptile_use_query": "no"}),
+    (ModelConfig, {"vocab_size": 2.5, "d_emb": 2, "d_h": 2, "n_way": 2})])
+def test_configs_check_each_field_against_its_annotation(config, kw):
+    # An integer corpus_path made load_corpus read that file descriptor and
+    # close it; the string "no" is truthy, so the masked-token term stayed on;
+    # mask_strategy 5 raised TypeError in meta_config().
+    with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must be"):
+        config(**kw)
 
 
 def test_config_accepts_numpy_integer_seeds(synth):
     # 10**400 has no float value, so no finiteness check may convert it.
-    tiny_config(synth, seeds=(np.int64(1), 2, 10**400), fine_tune_steps=np.int64(0)).validate()
+    tiny_config(synth, seeds=(np.int64(1), 2, 10**400), fine_tune_steps=np.int64(0))
 
 
 def test_run_training_skips_empty_documents(tmp_path):
@@ -342,6 +356,14 @@ def test_run_ablation_rejects_unknown_key_before_running(synth, tmp_path):
     with pytest.raises(ConfigError, match="unknown grid keys"):
         run_ablation(tiny_config(synth), {"aux_wt": [0.1]}, str(out))
     assert not out.exists() or not (out / "summary.csv").exists()
+
+
+def test_run_ablation_checks_every_point_before_running(synth, tmp_path):
+    # The first point trained and wrote point_000 before the second failed.
+    out = tmp_path / "ab"
+    with pytest.raises(ConfigError, match="aux_weight"):
+        run_ablation(tiny_config(synth), {"aux_weight": [0.1, 2.0]}, str(out))
+    assert not out.exists()
 
 
 def test_run_ablation_emits_product_rows(synth, tmp_path):

@@ -602,6 +602,6 @@ def test_meta_state_checkpoint_keeps_float32(tmp_path):
 
 def test_meta_config_checks_masking():
     with pytest.raises(ValueError, match="mask_prob"):
-        MetaConfig(mask_prob=0.0).validate()
+        MetaConfig(mask_prob=0.0)
     with pytest.raises(ValueError, match="mask_strategy"):
-        MetaConfig(mask_strategy=(0.5, 0.2, 0.2)).validate()
+        MetaConfig(mask_strategy=(0.5, 0.2, 0.2))
