@@ -87,14 +87,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gen_corpus(args) -> int:
+    if (args.split_out is None) != (args.split_counts is None):
+        raise ValueError("--split-out and --split-counts TRAIN VAL TEST go together")
     class_names = gen_synthetic(args.out, args.classes, args.docs_per_class,
                                 args.tokens_per_class, args.overlap,
                                 doc_len_range=tuple(args.doc_len), seed=args.seed)
     print(f"wrote {args.classes * args.docs_per_class} documents "
           f"({args.classes} classes) to {args.out}")
     if args.split_out:
-        if not args.split_counts:
-            raise ValueError("--split-out requires --split-counts TRAIN VAL TEST")
         tr, va, te = args.split_counts
         write_split_file(args.split_out, class_names, tr, va, te)
         print(f"wrote split {tr}/{va}/{te} to {args.split_out}")

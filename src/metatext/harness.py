@@ -506,6 +506,8 @@ def max_rel_err(analytic, numeric) -> float:
 def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) -> dict:
     """Compare analytic gradients with central finite differences on random
     small instances. Returns max relative error per loss."""
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, got {n_instances}")
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(vocab_size=10, d_emb=4, d_h=3, n_way=3)
     worst = {"primary": 0.0, "aux": 0.0, "total": 0.0}

@@ -188,7 +188,7 @@ class _WorkingSet:
 
     def gather(self, psi: ModelParams) -> ModelParams:
         """psi's working-set entries, in a new vector in the compact layout."""
-        values = np.empty(self.compact.size, dtype=psi.flat.dtype)
+        values = np.empty(self.compact.size)
         full_tail, tail = self._tails()
         np.take(psi.E, self.rows, axis=0,
                 out=values[self.compact.slices["E"]].reshape(self.rows.size, -1))

@@ -108,7 +108,6 @@ class ModelConfig:
     d_emb: int
     d_h: int
     n_way: int
-    dtype: str = "float64"
 
     def __post_init__(self):
         check_fields(self)
@@ -117,15 +116,13 @@ class ModelConfig:
         for name in ("d_emb", "d_h", "n_way"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError("dtype must be 'float64' or 'float32'")
 
     def layout(self) -> ParamLayout:
         return ParamLayout.build(self.vocab_size, self.d_emb, self.d_h, self.n_way,
                                  self.vocab_size)
 
     def zeros(self) -> "ModelParams":
-        return ModelParams.from_flat(np.zeros(self.layout().size, dtype=self.dtype), self.layout())
+        return ModelParams.from_flat(np.zeros(self.layout().size), self.layout())
 
     def init_params(self, rng: np.random.Generator) -> "ModelParams":
         """Small random init; biases start at zero."""
@@ -136,7 +133,7 @@ class ModelConfig:
                   np.zeros(self.n_way),
                   rng.normal(0.0, 1.0 / np.sqrt(self.d_h), (self.vocab_size, self.d_h)),
                   np.zeros(self.vocab_size))
-        flat = np.concatenate([b.ravel() for b in blocks], dtype=self.dtype)
+        flat = np.concatenate([b.ravel() for b in blocks])
         return ModelParams.from_flat(flat, self.layout())
 
 
@@ -208,7 +205,6 @@ class MaskedBatch:
 
     sequences: list
     targets: list
-    n_skipped: int = 0
     memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
     plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -235,18 +231,16 @@ class MaskedBatch:
         kept in place (so indices line up) but contribute no targets."""
         masked_seqs = []
         targets = []
-        n_skipped = 0
         for si, seq in enumerate(sequences):
             entry = mask_tokens(seq, rng, mask_prob=mask_prob, strategy=strategy,
                                 vocab_size=vocab_size)
             if entry is None:
                 masked_seqs.append(np.asarray(seq, dtype=np.int64))
-                n_skipped += 1
                 continue
             mseq, seq_targets = entry
             masked_seqs.append(mseq)
             targets.extend((si, pos, orig) for pos, orig in seq_targets)
-        return cls(sequences=masked_seqs, targets=targets, n_skipped=n_skipped)
+        return cls(sequences=masked_seqs, targets=targets)
 
 
 def check_number(name: str, value, integer: bool = False) -> None:
@@ -356,7 +350,7 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 @dataclass(eq=False, slots=True)
 class _Plan:
     """The arrays of one padded (B, L) token batch that depend on the batch
-    alone, for one shape of E and one dtype: a batch derives its plan on
+    alone, for one shape of E: a batch derives its plan on
     first use and keeps it, so every pass over it reads them. The
     first split rows are a PackedBatch's and the rest a MaskedBatch's; a plan
     kept by a PackedBatch holds the MaskedBatch stacked under it, if any, in
@@ -366,7 +360,7 @@ class _Plan:
     e_shape: tuple       # the shape of the E it indexes
     split: int
     stacked: MaskedBatch | None
-    counts: np.ndarray   # (B,) non-PAD tokens per sequence, in the params' dtype
+    counts: np.ndarray   # (B,) non-PAD tokens per sequence
     pool: np.ndarray     # (B, 1, L) pooling weights mask / counts
     # (B * L * d_emb,) token id * d_emb + column at each position and column,
     # and E.size + column at PAD: the embedding scatter's index into flat E,
@@ -376,7 +370,7 @@ class _Plan:
     @classmethod
     def build(cls, tokens: np.ndarray, mask: np.ndarray, params: ModelParams, split: int,
               stacked: MaskedBatch | None = None) -> _Plan:
-        counts = mask.sum(axis=1).astype(params.E.dtype)
+        counts = mask.sum(axis=1).astype(np.float64)
         if np.any(counts == 0):
             bad = int(np.flatnonzero(counts == 0)[0])
             raise EncodingError(f"sequence {bad if bad < split else bad - split} "
@@ -438,10 +432,9 @@ class PackedBatch:
 def _plan_of(params: ModelParams, holder, stacked: MaskedBatch | None) -> _Plan:
     """The plan kept by holder (a PackedBatch, with stacked under it or None,
     or a MaskedBatch alone), built when it has none for stacked and the
-    shape and dtype of the params' E."""
+    shape of the params' E."""
     plan = holder.plan
-    if (plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape
-            or plan.counts.dtype != params.E.dtype):
+    if plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape:
         if isinstance(holder, MaskedBatch):
             tokens, mask, split = *holder.packed, 0
         elif stacked is None:
@@ -625,12 +618,11 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray) -
 
     # One bincount over the plan's flat index token * d_emb + column sums each
     # entry of E in input order from 0.0, as np.add.at into zeros would; PAD
-    # rows land in d_emb bins past E, which are dropped. It sums in float64,
-    # and float32 parameters get the sums rounded once.
+    # rows land in d_emb bins past E, which are dropped.
     dE = np.bincount(fw.plan.index, weights=d_emb_total.ravel(),
                      minlength=params.E.size + d_emb)
     del d_emb_total
-    values = np.empty(layout.size, dtype=params.E.dtype)
+    values = np.empty(layout.size)
     values[layout.slices["E"]] = dE[:params.E.size]
     del dE
 
@@ -736,9 +728,7 @@ def grad_total(params: ModelParams, support_batch, masked_support,
 
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line, then the flat parameter vector and
-# any further sections of the same length, little-endian in the parameters'
-# own dtype; the header names the dtype unless it is float64, so float64 files
-# keep the bytes they had before dtypes were recorded
+# any further sections of the same length, as little-endian float64
 
 _PARAMS_FORMAT = "metatext-params"
 
@@ -751,34 +741,39 @@ def save_params(path, params: ModelParams, fmt: str = _PARAMS_FORMAT,
     blocks = [[name, offset, length] for name, offset, length, _ in params.layout().blocks]
     header = {"format": fmt, "vocab_size": params.vocab_size, "d_emb": params.d_emb,
               "d_h": params.d_h, "n_way": params.n_way, "blocks": blocks}
-    if params.E.dtype != np.float64:
-        header["dtype"] = params.E.dtype.name
     if sections:
         header["sections"] = ["psi", *sections]
     header.update(header_fields)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for vec in (params.flat, *(sections or {}).values()):
-            fh.write(np.ascontiguousarray(vec, params.E.dtype.newbyteorder("<")).tobytes())
+            fh.write(np.ascontiguousarray(vec, "<f8").tobytes())
 
 
 def read_checkpoint(path, fmt: str = _PARAMS_FORMAT) -> tuple[dict, ModelParams, list]:
-    """Read what save_params wrote: (header, params, the further sections in
-    order), in the dtype they were written in."""
+    """Read what save_params wrote: (header, params, the further sections in order).
+    Any other header raises ValueError naming path, and the field if one is bad."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    if header.get("format") != fmt:
-        raise ValueError(f"{path}: not a {fmt} checkpoint")
-    layout = ParamLayout.build(header["vocab_size"], header["d_emb"], header["d_h"],
-                               header["n_way"], header["vocab_size"])
-    dtype = np.dtype(header.get("dtype", "float64"))
-    n_sections = len(header.get("sections", ["psi"]))
-    expected = layout.size * n_sections * dtype.itemsize
-    if dtype not in (np.float64, np.float32) or len(payload) != expected:
-        raise ValueError(f"{path}: {dtype} payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
-    psi, *rest = np.split(flat, n_sections)
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != fmt or "dtype" in header:
+        raise ValueError(f"{path}: not a float64 {fmt} checkpoint")
+    try:
+        layout = ModelConfig(*(header.get(name) for name in
+                               ("vocab_size", "d_emb", "d_h", "n_way"))).layout()
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    sections = header.get("sections", ["psi"])
+    if not isinstance(sections, list) or not sections:
+        raise ValueError(f"{path}: sections must be a non-empty list, got {sections!r}")
+    expected = layout.size * len(sections) * 8
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    flat = np.frombuffer(payload, "<f8").astype(np.float64)
+    psi, *rest = np.split(flat, len(sections))
     return header, ModelParams.from_flat(psi, layout), rest
 
 

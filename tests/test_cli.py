@@ -55,6 +55,19 @@ def test_gen_corpus_rejects_negative_split_counts(tmp_path, capsys):
     assert not (tmp_path / "split.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--split-out", "split.json"],
+                                   ["--split-counts", "1", "1", "1"]])
+def test_gen_corpus_rejects_unpaired_split_flags(tmp_path, capsys, monkeypatch, flags):
+    """--split-out and --split-counts come together or not at all; either one
+    alone fails before the corpus is written."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gen-corpus", "--out", "corpus.jsonl", "--classes", "3",
+               "--docs-per-class", "2", "--tokens-per-class", "3", "--overlap", "0.5", *flags])
+    assert rc == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_command(workspace, capsys):
     rc = main(["train", "--config", str(workspace / "config.json"),
                "--out", str(workspace / "run")])
@@ -159,6 +172,15 @@ def test_check_gradients_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("[ok]") == 3
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_check_gradients_rejects_no_instances(capsys, count):
+    rc = main(["check-gradients", "--instances", count])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "n_instances must be at least 1" in json.loads(err[0])["message"]
 
 
 def test_unknown_grid_name_fails_cleanly(workspace, capsys):

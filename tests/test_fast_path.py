@@ -156,35 +156,6 @@ def test_plan_rechecks_labels_for_another_classifier():
     primary_loss(wide, packed)
 
 
-def test_plan_follows_the_params_dtype():
-    """A batch keeps one plan, rebuilt when the parameters' dtype changes:
-    float32 and then float64 params on one batch give the bits of fresh
-    batches, and so does float32 again."""
-    rng = np.random.default_rng(2)
-    cfg64 = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
-    cfg32 = replace(cfg64, dtype="float32")
-    flat = cfg64.init_params(rng).flat
-    p64 = ModelParams.from_flat(flat, cfg64.layout())
-    p32 = ModelParams.from_flat(flat.astype(np.float32), cfg32.layout())
-    pairs = random_pairs(rng, cfg64, 4)
-    masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=0.5,
-                               vocab_size=cfg64.vocab_size)
-    packed = PackedBatch.pack(pairs)
-
-    def fresh():
-        return MaskedBatch(sequences=masked.sequences, targets=masked.targets)
-
-    for params in (p32, p64, p32):
-        for w in (0.0, 0.3, 1.0):
-            got = grad_total(params, packed, masked, w)
-            assert got.dtype == params.E.dtype
-            assert same_bits(got, grad_total(params, pairs, fresh(), w))
-            assert same_bits(total_loss(params, packed, masked, w),
-                             total_loss(params, pairs, fresh(), w))
-        assert same_bits(primary_loss(params, packed)[1], primary_loss(params, pairs)[1])
-        assert same_bits(aux_loss(params, masked), aux_loss(params, fresh()))
-
-
 @pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
 def test_plan_follows_the_params_layout(aux_weight):
     """A batch's plan is rebuilt when the parameters' layout changes: a
@@ -582,21 +553,6 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
     got, want = fast_backprop(params, fw, d_hidden), slow_backprop_encoder(
         params, packed.tokens, fw, d_hidden)
     assert backprop_matches(got, want, fw, d_hidden)
-
-
-def test_embedding_scatter_float32_rounds_once():
-    """At float32 the bincount sums in float64 and rounds once, so dE keeps
-    its dtype and agrees with float32 np.add.at to float32 rounding."""
-    rng = np.random.default_rng(4)
-    cfg = ModelConfig(vocab_size=6, d_emb=4, d_h=3, n_way=2, dtype="float32")
-    params = cfg.init_params(rng)
-    packed = PackedBatch.pack(random_pairs(rng, cfg, 6))
-    fw = fast_forward(params, packed.tokens, packed.mask)
-    d_hidden = (rng.normal(size=fw.hidden.shape) * packed.mask[..., None]).astype(np.float32)
-    got, want = fast_backprop(params, fw, d_hidden)[0], slow_backprop_encoder(
-        params, packed.tokens, fw, d_hidden)[0]
-    assert got.dtype == np.float32
-    assert np.allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
 @SETTINGS

@@ -161,8 +161,7 @@ def test_gradient_ignores_skipped_sequences():
     rng = np.random.default_rng(0)
     masked = MaskedBatch.build(seqs, rng, mask_prob=1.0, vocab_size=10)
     keep = [t for t in masked.targets if t[0] != 0]
-    without_first = MaskedBatch(sequences=masked.sequences,
-                                targets=keep, n_skipped=1)
+    without_first = MaskedBatch(sequences=masked.sequences, targets=keep)
     g = grad_total(params, batch, without_first, 1.0)
     fd = central_diff(lambda p: aux_loss(p, without_first), params)
     assert max_rel_err(g, fd) < FD_TOL

@@ -585,21 +585,6 @@ def test_meta_state_checkpoint_round_trip(tmp_path, setup):
     assert np.array_equal(loaded.v, state.v)
 
 
-def test_meta_state_checkpoint_keeps_float32(tmp_path):
-    rng = np.random.default_rng(22)
-    psi = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3, dtype="float32").init_params(rng)
-    cfg = MetaConfig(inner_lr=0.1, meta_lr=0.01, inner_steps=1)
-    state, _ = meta_step(MetaState.create(psi, cfg), [random_episode(rng)], rng)
-    path = tmp_path / "meta.bin"
-    save_meta_state(path, state)
-    loaded = load_meta_state(path, cfg)
-    assert loaded.step_count == 1
-    for a, b in ((loaded.psi.to_flat(), state.psi.to_flat()), (loaded.m, state.m),
-                 (loaded.v, state.v)):
-        assert a.dtype == b.dtype == np.float32
-        assert a.tobytes() == b.tobytes()
-
-
 def test_meta_config_checks_masking():
     with pytest.raises(ValueError, match="mask_prob"):
         MetaConfig(mask_prob=0.0)

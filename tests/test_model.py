@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,8 +227,9 @@ def test_mask_tokens_validates_arguments():
 def test_masked_batch_counts_skipped():
     seqs = [np.array([3, 4]), np.array([], dtype=np.int64), np.array([5])]
     batch = MaskedBatch.build(seqs, np.random.default_rng(0), mask_prob=1.0)
-    assert batch.n_skipped == 1
+    # The empty sequence is skipped: it stays in place and has no targets.
     assert len(batch.sequences) == 3
+    assert np.array_equal(batch.sequences[1], seqs[1])
     assert {si for si, _, _ in batch.targets} == {0, 2}
 
 
@@ -282,7 +284,8 @@ def test_masked_batch_properties(seed, lengths, mask_prob, strategy, vocab_size)
                 assert got == UNK_ID
     maskable = [bool(np.any((s != PAD_ID) & (s != MASK_ID))) for s in seqs]
     assert {si for si, _ in places} == {si for si, ok in enumerate(maskable) if ok}
-    assert batch.n_skipped == maskable.count(False)
+    assert all(np.array_equal(batch.sequences[si], seqs[si])
+               for si, ok in enumerate(maskable) if not ok)
     for si, (seq, masked) in enumerate(zip(seqs, batch.sequences)):
         positions = [pos for i, pos in places if i == si]
         kept = np.ones(seq.size, dtype=bool)
@@ -390,7 +393,7 @@ def test_total_loss_skips_aux_without_targets(small_model_cfg):
     rng = np.random.default_rng(9)
     params = small_model_cfg.init_params(rng)
     ep = random_episode(rng)
-    empty = MaskedBatch(sequences=[], targets=[], n_skipped=len(ep.support))
+    empty = MaskedBatch(sequences=[], targets=[])
     expected = (1 - 0.3) * primary_loss(params, ep.support)[0]
     assert abs(total_loss(params, ep.support, empty, 0.3) - expected) < 1e-15
     assert abs(total_loss(params, ep.support, None, 0.3) - expected) < 1e-15
@@ -456,22 +459,6 @@ def test_checkpoint_float64_bytes(tmp_path, small_model_cfg):
     assert payload == params.to_flat().astype("<f8").tobytes()
 
 
-def test_checkpoint_keeps_float32(tmp_path):
-    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3, dtype="float32")
-    params = cfg.init_params(np.random.default_rng(16))
-    path = tmp_path / "params.bin"
-    save_params(path, params)
-    header, _, payload = path.read_bytes().partition(b"\n")
-    assert json.loads(header)["dtype"] == "float32"
-    assert payload == params.to_flat().astype("<f4").tobytes()
-    loaded = load_params(path)
-    assert loaded.E.dtype == np.float32
-    assert loaded.to_flat().tobytes() == params.to_flat().tobytes()
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="bytes"):
-        load_params(path)
-
-
 def test_checkpoint_rejects_truncated_payload(tmp_path, small_model_cfg):
     params = small_model_cfg.init_params(np.random.default_rng(13))
     path = tmp_path / "params.bin"
@@ -480,25 +467,47 @@ def test_checkpoint_rejects_truncated_payload(tmp_path, small_model_cfg):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="bytes"):
         load_params(path)
-    # Half the float64 payload is as many bytes as a float32 one.
+    # A payload cut to half its length fails the same check.
     header, _, payload = data.partition(b"\n")
     path.write_bytes(header + b"\n" + payload[: len(payload) // 2])
     with pytest.raises(ValueError, match="bytes"):
         load_params(path)
 
 
-def test_float32_mode_preserves_dtype():
-    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3, dtype="float32")
-    rng = np.random.default_rng(20)
-    params = cfg.init_params(rng)
-    assert params.E.dtype == np.float32
-    ep = random_episode(rng)
-    loss, logits = primary_loss(params, ep.support)
-    assert logits.dtype == np.float32 and np.isfinite(loss)
-    from metatext.model import grad_total
-    grad = grad_total(params, ep.support, None, 0.0)
-    assert grad.dtype == np.float32
-    assert np.all(np.isfinite(grad))
+def test_checkpoint_rejects_float32_file(tmp_path, small_model_cfg):
+    # A float32 file as older versions wrote it: the header names its dtype
+    # and the payload is little-endian float32.
+    params = small_model_cfg.init_params(np.random.default_rng(16))
+    path = tmp_path / "params32.bin"
+    save_params(path, params)
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    header["dtype"] = "float32"
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + params.to_flat().astype("<f4").tobytes())
+    with pytest.raises(ValueError, match="params32.bin: not a float64"):
+        load_params(path)
+
+
+def test_checkpoint_rejects_malformed_headers(tmp_path, small_model_cfg):
+    """A header save_params would not write raises ValueError naming the
+    file, and the field when one is bad."""
+    params = small_model_cfg.init_params(np.random.default_rng(17))
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+    good = json.loads(path.read_bytes().partition(b"\n")[0])
+    payload = params.to_flat().astype("<f8").tobytes()
+    headers = [([], "not a float64 metatext-params checkpoint"),
+               ({"format": "metatext-params"}, "vocab_size must be an integer, got None"),
+               ({**good, "vocab_size": "12"}, "vocab_size must be an integer, got '12'"),
+               ({**good, "sections": 5}, "sections must be a non-empty list, got 5")]
+    for header, message in headers:
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: {message}"
+    path.write_bytes(b"{not json\n" + payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header is not JSON"):
+        load_params(path)
 
 
 def test_ops_do_not_mutate_params(small_model_cfg):
