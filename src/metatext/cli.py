@@ -19,6 +19,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     check_gradients,
+    check_split_sizes,
     export_embeddings,
     gen_synthetic,
     load_experiment_data,
@@ -89,6 +90,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_gen_corpus(args) -> int:
     if (args.split_out is None) != (args.split_counts is None):
         raise ValueError("--split-out and --split-counts TRAIN VAL TEST go together")
+    if args.split_counts:
+        check_split_sizes(args.classes, *args.split_counts)
     class_names = gen_synthetic(args.out, args.classes, args.docs_per_class,
                                 args.tokens_per_class, args.overlap,
                                 doc_len_range=tuple(args.doc_len), seed=args.seed)

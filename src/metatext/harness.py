@@ -355,6 +355,8 @@ def run_ablation(config: ExperimentConfig, grid: dict, out_dir=None) -> list:
     Returns [(point dict, RunResult), ...] in product order and, when out_dir
     is given, writes one summary.csv row per grid point (no silent skips).
     """
+    if not isinstance(grid, dict):
+        raise ConfigError(f"ablation grid must map config fields to lists, got {grid!r}")
     if not grid:
         raise ConfigError("ablation grid is empty")
     known = set(ExperimentConfig.field_names())
@@ -429,13 +431,18 @@ def gen_synthetic(path, num_classes: int, docs_per_class: int, tokens_per_class:
     return class_names
 
 
-def write_split_file(path, class_names, n_train: int, n_val: int, n_test: int) -> dict:
-    """Assign the first classes to train, the next to val, the rest to test."""
+def check_split_sizes(num_classes: int, n_train: int, n_val: int, n_test: int) -> None:
+    """Raise ConfigError unless the split sizes are non-negative and fit
+    within num_classes."""
     if min(n_train, n_val, n_test) < 0:
         raise ConfigError(f"split sizes {n_train}/{n_val}/{n_test} must be non-negative")
-    if n_train + n_val + n_test > len(class_names):
-        raise ConfigError(
-            f"split sizes {n_train}+{n_val}+{n_test} exceed {len(class_names)} classes")
+    if n_train + n_val + n_test > num_classes:
+        raise ConfigError(f"split sizes {n_train}+{n_val}+{n_test} exceed {num_classes} classes")
+
+
+def write_split_file(path, class_names, n_train: int, n_val: int, n_test: int) -> dict:
+    """Assign the first classes to train, the next to val, the rest to test."""
+    check_split_sizes(len(class_names), n_train, n_val, n_test)
     names = {
         "train": list(class_names[:n_train]),
         "val": list(class_names[n_train:n_train + n_val]),

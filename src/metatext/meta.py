@@ -254,7 +254,7 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
     batch = PackedBatch.pack(support)
-    _, aux = _branches(psi, batch, masked, aux_weight)
+    _, aux = _branches(batch, masked, aux_weight)
     work, batch, aux = _WorkingSet.build(psi, batch, aux)
     params = work.gather(psi)
     first = None
@@ -272,8 +272,8 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
         if first is None:
             first = g
         params = ModelParams.from_flat(np.subtract(params.flat, step, out=step), work.compact)
-    # The batches' memo holds the last step's start point; it goes before the
-    # copy of psi is made.
+    # The batches' plans hold the last step's pass and start point; they go
+    # before the copy of psi is made.
     del batch, aux
     theta = ModelParams.from_flat(work.scatter(params.flat, psi.flat.copy()), psi.layout())
     return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta, work=work, first_step=first,
@@ -452,5 +452,16 @@ def save_meta_state(path, state: MetaState) -> None:
 
 
 def load_meta_state(path, cfg: MetaConfig) -> MetaState:
-    header, psi, (m, v) = read_checkpoint(path, _META_FORMAT)
-    return MetaState(psi=psi, m=m, v=v, step_count=int(header["step_count"]), cfg=cfg)
+    """The state save_meta_state wrote; a file whose sections are not psi,
+    adam_m and adam_v, or whose step_count is not a non-negative integer,
+    raises ValueError naming path."""
+    header, psi, rest = read_checkpoint(path, _META_FORMAT)
+    if header.get("sections") != ["psi", "adam_m", "adam_v"]:
+        raise ValueError(f"{path}: sections must be psi, adam_m, adam_v, "
+                         f"got {header.get('sections')!r}")
+    step_count = header.get("step_count")
+    if isinstance(step_count, bool) or not isinstance(step_count, int) or step_count < 0:
+        raise ValueError(f"{path}: step_count must be a non-negative integer, "
+                         f"got {step_count!r}")
+    m, v = rest
+    return MetaState(psi=psi, m=m, v=v, step_count=step_count, cfg=cfg)

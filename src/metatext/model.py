@@ -23,7 +23,6 @@ otherwise (see meta._descend).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -142,7 +141,7 @@ class ModelParams:
     """Partitioned parameter store: the seven blocks are reshaped views into
     flat, laid out by the layout from_flat was given, and from_flat is the one
     way to build an instance. Treat instances as immutable; ops never mutate,
-    and batches memoise passes by the identity of the instance."""
+    and a batch's plan memoises its last pass by the identity of the instance."""
 
     E: np.ndarray
     W1: np.ndarray
@@ -198,31 +197,18 @@ class MaskedBatch:
 
     targets holds (sequence index, position, original token id) triples; under
     the default all-mask replacement strategy every target position carries
-    MASK_ID in the masked sequence. The padded arrays are derived once per
-    instance, and the last pass of the masked-token branch alone is memoised
-    on it, so treat an instance as immutable.
+    MASK_ID in the masked sequence. plan is what the masked-token branch alone
+    derives from the batch, kept on first use (see _Plan), so treat an
+    instance as immutable.
     """
 
     sequences: list
     targets: list
-    memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
     plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_targets(self) -> int:
         return len(self.targets)
-
-    @functools.cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The masked sequences padded into (B, L) tokens plus their non-PAD
-        mask, derived on first use."""
-        return _pack(self.sequences)
-
-    @functools.cached_property
-    def target_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Targets as (sequence index, position, original id) int arrays."""
-        arr = np.asarray(self.targets, dtype=np.int64).reshape(-1, 3)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
 
     @classmethod
     def build(cls, sequences, rng: np.random.Generator, mask_prob: float = 0.30,
@@ -349,15 +335,16 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 
 @dataclass(eq=False, slots=True)
 class _Plan:
-    """The arrays of one padded (B, L) token batch that depend on the batch
-    alone, for one shape of E: a batch derives its plan on
-    first use and keeps it, so every pass over it reads them. The
-    first split rows are a PackedBatch's and the rest a MaskedBatch's; a plan
-    kept by a PackedBatch holds the MaskedBatch stacked under it, if any, in
-    stacked."""
+    """Everything derived from one padded (B, L) token batch, for one shape
+    of E and one classifier width: a batch derives its plan on first use and
+    keeps it, so every pass over it reads the plan, and the plan keeps the
+    batch's last pass. The first split rows are a PackedBatch's and the rest
+    a MaskedBatch's; a plan kept by a PackedBatch holds the MaskedBatch
+    stacked under it, if any, in stacked."""
 
     tokens: np.ndarray   # (B, L) int
     e_shape: tuple       # the shape of the E it indexes
+    n_way: int           # the classifier width the labels were checked against
     split: int
     stacked: MaskedBatch | None
     counts: np.ndarray   # (B,) non-PAD tokens per sequence
@@ -366,10 +353,16 @@ class _Plan:
     # and E.size + column at PAD: the embedding scatter's index into flat E,
     # which sends PAD rows past dE.
     index: np.ndarray
+    # (T, 3) int: the masked-token targets as (row, position, original id),
+    # the row being the sequence index plus split.
+    targets: np.ndarray
+    # The last pass over the rows: (params, fw, primary, aux) as _pass
+    # returns them, for the params object it ran at.
+    memo: tuple | None = None
 
     @classmethod
     def build(cls, tokens: np.ndarray, mask: np.ndarray, params: ModelParams, split: int,
-              stacked: MaskedBatch | None = None) -> _Plan:
+              stacked: MaskedBatch | None = None, targets=()) -> _Plan:
         counts = mask.sum(axis=1).astype(np.float64)
         if np.any(counts == 0):
             bad = int(np.flatnonzero(counts == 0)[0])
@@ -377,15 +370,16 @@ class _Plan:
                                 "is empty after PAD removal")
         base = np.where(mask, tokens * params.d_emb, params.E.size)
         index = (base[..., None] + np.arange(params.d_emb)).ravel()
-        return cls(tokens=tokens, e_shape=params.E.shape, split=split, stacked=stacked,
-                   counts=counts, pool=(mask / counts[:, None])[:, None, :], index=index)
+        targets = np.array(targets, dtype=np.int64).reshape(-1, 3) + (split, 0, 0)
+        return cls(tokens=tokens, e_shape=params.E.shape, n_way=params.n_way, split=split,
+                   stacked=stacked, counts=counts, pool=(mask / counts[:, None])[:, None, :],
+                   index=index, targets=targets)
 
 
 @dataclass(slots=True)
 class _Forward:
     """Cached intermediates for one batched forward pass."""
 
-    plan: _Plan
     emb: np.ndarray      # (B, L, d_emb)
     ctx: np.ndarray      # (B, d_emb)
     hidden: np.ndarray   # (B, L, d_h)
@@ -407,17 +401,15 @@ def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False, slots=True)
 class PackedBatch:
     """(sequence, label) pairs padded once; the losses and gradients accept it
-    in place of the pairs, so a batch used for many steps is packed once, and
-    a gradient taken after its loss at the same params and masked batch
-    reuses the pass."""
+    in place of the pairs, so a batch used for many steps is packed once.
+    plan is what a pass over it (with a masked batch stacked under it, or
+    none) derives from it, kept on first use (see _Plan), so a gradient taken
+    after its loss at the same params and masked batch reuses the pass."""
 
     tokens: np.ndarray   # (B, L) int
     mask: np.ndarray     # (B, L) bool, False at PAD
     labels: np.ndarray   # (B,) int
-    memo: tuple | None = field(default=None, init=False, repr=False)
     plan: _Plan | None = field(default=None, init=False, repr=False)
-    # The classifier width the labels were last checked against.
-    labels_fit: int | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def pack(cls, batch) -> "PackedBatch":
@@ -429,20 +421,26 @@ class PackedBatch:
         return cls(*_pack(seqs), labels)
 
 
-def _plan_of(params: ModelParams, holder, stacked: MaskedBatch | None) -> _Plan:
-    """The plan kept by holder (a PackedBatch, with stacked under it or None,
-    or a MaskedBatch alone), built when it has none for stacked and the
-    shape of the params' E."""
+def _plan_of(params: ModelParams, packed: PackedBatch | None,
+             masked: MaskedBatch | None) -> _Plan:
+    """The plan of packed's rows then masked's (either may be None), kept by
+    packed (by masked when packed is None), built when it has none for
+    masked, the shape of the params' E and their classifier width; building
+    one for a PackedBatch checks that its labels fit the classifier."""
+    holder, stacked = (masked, None) if packed is None else (packed, masked)
     plan = holder.plan
-    if plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape:
-        if isinstance(holder, MaskedBatch):
-            tokens, mask, split = *holder.packed, 0
-        elif stacked is None:
-            tokens, mask, split = holder.tokens, holder.mask, len(holder.tokens)
+    if (plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape
+            or plan.n_way != params.n_way):
+        if packed is None:
+            tokens, mask, split = *_pack(masked.sequences), 0
         else:
-            tokens, mask = _pack([*holder.tokens, *stacked.packed[0]])
-            split = len(holder.tokens)
-        plan = holder.plan = _Plan.build(tokens, mask, params, split, stacked)
+            if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
+                raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
+            split = len(packed.tokens)
+            tokens, mask = ((packed.tokens, packed.mask) if masked is None
+                            else _pack([*packed.tokens, *masked.sequences]))
+        plan = holder.plan = _Plan.build(tokens, mask, params, split, stacked,
+                                         () if masked is None else masked.targets)
     return plan
 
 
@@ -460,7 +458,7 @@ def _forward(params: ModelParams, plan: _Plan) -> _Forward:
     # Sentence representations of the rows that are classified, the first
     # split.
     rep = (plan.pool[:plan.split] @ hidden[:plan.split])[:, 0]  # (split, Dh)
-    return _Forward(plan=plan, emb=emb, ctx=ctx, hidden=hidden, rep=rep)
+    return _Forward(emb=emb, ctx=ctx, hidden=hidden, rep=rep)
 
 
 def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -478,17 +476,6 @@ def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def _labelled(params: ModelParams, batch) -> PackedBatch:
-    """Pack (sequence, label) pairs, or take a packed batch, and check that its
-    labels fit the classifier."""
-    packed = PackedBatch.pack(batch)
-    if packed.labels_fit != params.n_way:
-        if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
-            raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
-        packed.labels_fit = params.n_way
-    return packed
 
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -514,29 +501,27 @@ def _pass(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch |
     """One forward pass over the rows of the active branches, the
     classification branch on packed and the masked-token branch on masked
     (either may be None), with each branch's logits, loss and d loss/d logits:
-    (fw, (logits, loss, d_logits) or None, (target hidden states, loss,
-    d_logits) or None). Memoised on packed (masked when packed is None) for
-    the last params object and masked batch it saw."""
-    holder, stacked = (masked, None) if packed is None else (packed, masked)
-    slot = holder.memo
-    if slot is None or slot[0] is not params or slot[1] is not stacked:
-        plan = _plan_of(params, holder, stacked)
+    (plan, fw, (logits, loss, d_logits) or None, (target hidden states, loss,
+    d_logits) or None), plan being _plan_of's. The plan keeps the pass for
+    the last params object it ran at."""
+    plan = _plan_of(params, packed, masked)
+    if plan.memo is None or plan.memo[0] is not params:
         fw = _forward(params, plan)
         primary = aux = None
         if packed is not None:
             logits = fw.rep @ params.C.T + params.c0
             primary = (logits, *_softmax_xent(logits, packed.labels))
         if masked is not None:
-            si, pos, orig = masked.target_arrays
-            h_tgt = fw.hidden[si + plan.split, pos]                   # (T, Dh)
+            rows, pos, orig = plan.targets.T
+            h_tgt = fw.hidden[rows, pos]                               # (T, Dh)
             logits = h_tgt @ params.P.T                                # (T, V)
             logits += params.p0
             aux = (h_tgt, *_softmax_xent(logits, orig))
-        slot = holder.memo = (params, stacked, (fw, primary, aux))
-    return slot[2]
+        plan.memo = (params, fw, primary, aux)
+    return plan, *plan.memo[1:]
 
 
-def _branches(params: ModelParams, support_batch, masked_support,
+def _branches(support_batch, masked_support,
               aux_weight: float) -> tuple[PackedBatch | None, MaskedBatch | None]:
     """The branches total_loss weighs at aux_weight, as (packed support batch
     or None, masked batch or None): the masked-token branch runs when its
@@ -545,8 +530,7 @@ def _branches(params: ModelParams, support_batch, masked_support,
     if not 0.0 <= aux_weight <= 1.0:
         raise ValueError(f"aux_weight must be in [0, 1], got {aux_weight}")
     aux_active = aux_weight > 0.0 and masked_support is not None and masked_support.num_targets > 0
-    packed = (_labelled(params, support_batch) if aux_weight < 1.0 or not aux_active
-              else None)
+    packed = PackedBatch.pack(support_batch) if aux_weight < 1.0 or not aux_active else None
     return packed, masked_support if aux_active else None
 
 
@@ -556,7 +540,7 @@ def primary_loss(params: ModelParams, batch) -> tuple[float, np.ndarray]:
 
     Returns (loss, logits) with logits of shape (batch, n_way).
     """
-    logits, loss, _ = _pass(params, _labelled(params, batch), None)[1]
+    logits, loss, _ = _pass(params, PackedBatch.pack(batch), None)[2]
     return loss, logits
 
 
@@ -564,7 +548,7 @@ def aux_loss(params: ModelParams, masked: MaskedBatch) -> float:
     """Mean vocabulary cross-entropy over every masked-token target."""
     if masked.num_targets == 0:
         raise ValueError("masked batch has no targets; caller must filter")
-    return _pass(params, None, masked)[2][1]
+    return _pass(params, None, masked)[3][1]
 
 
 def total_loss(params: ModelParams, support_batch, masked_support,
@@ -576,8 +560,8 @@ def total_loss(params: ModelParams, support_batch, masked_support,
     targets, and the primary term keeps its weight 1 - w: such an episode's
     loss is (1 - w) * primary, not the primary loss itself.
     """
-    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
-    _, primary, aux = _pass(params, packed, masked)
+    packed, masked = _branches(support_batch, masked_support, aux_weight)
+    _, _, primary, aux = _pass(params, packed, masked)
     loss = 0.0
     if primary is not None:
         loss += (1.0 - aux_weight) * primary[1]
@@ -590,11 +574,12 @@ def total_loss(params: ModelParams, support_batch, masked_support,
 # analytic gradients
 
 
-def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray) -> np.ndarray:
-    """Push a gradient on the per-token hidden states back to E, W1, b1: a new
-    flat vector in params' layout with those blocks written and the others
-    left for the caller to write. It is allocated once the embedding
-    scatter's temporaries are gone.
+def _backprop_encoder(params: ModelParams, plan: _Plan, fw: _Forward,
+                      d_hidden: np.ndarray) -> np.ndarray:
+    """Push a gradient on the per-token hidden states of a pass over plan's
+    rows back to E, W1, b1: a new flat vector in params' layout with those
+    blocks written and the others left for the caller to write. It is
+    allocated once the embedding scatter's temporaries are gone.
 
     d_hidden must already be zero at PAD positions. It is overwritten with
     the gradient on the pre-activations, so that no array of its size outlives
@@ -614,12 +599,12 @@ def _backprop_encoder(params: ModelParams, fw: _Forward, d_hidden: np.ndarray) -
     # ctx is the masked mean of embeddings, so its gradient spreads uniformly
     # over non-PAD positions; the scatter below drops the PAD rows.
     d_emb_total = d_pre @ w_tok                                  # (B, L, De)
-    d_emb_total += ((d_pre_sum @ w_ctx) / fw.plan.counts[:, None])[:, None, :]
+    d_emb_total += ((d_pre_sum @ w_ctx) / plan.counts[:, None])[:, None, :]
 
     # One bincount over the plan's flat index token * d_emb + column sums each
     # entry of E in input order from 0.0, as np.add.at into zeros would; PAD
     # rows land in d_emb bins past E, which are dropped.
-    dE = np.bincount(fw.plan.index, weights=d_emb_total.ravel(),
+    dE = np.bincount(plan.index, weights=d_emb_total.ravel(),
                      minlength=params.E.size + d_emb)
     del d_emb_total
     values = np.empty(layout.size)
@@ -661,8 +646,7 @@ def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBat
     backward pass runs over a d_hidden whose rows already carry their
     branch's weight, and only the head blocks are scaled. A last 0.0 + x over
     the vector turns -0.0 into +0.0: the outputs depend on those bits."""
-    fw, primary, aux = _pass(params, packed, masked)
-    plan = fw.plan
+    plan, fw, primary, aux = _pass(params, packed, masked)
     layout = params.layout()
     both = primary is not None and aux is not None
     d_hidden = None
@@ -683,9 +667,9 @@ def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBat
         if d_hidden is None:
             d_hidden = np.zeros_like(fw.hidden)
         # The (si, pos) targets are unique, so += adds each row once into 0.0.
-        si, pos, _ = masked.target_arrays
-        d_hidden[si + plan.split, pos] += d_h_tgt
-    values = _backprop_encoder(params, fw, d_hidden)
+        rows, pos, _ = plan.targets.T
+        d_hidden[rows, pos] += d_h_tgt
+    values = _backprop_encoder(params, plan, fw, d_hidden)
     # Each head as (weight block, bias block, the branch's weight, and the
     # branch's d loss/d logits and what its logits were taken from, or None).
     heads = (("C", "c0", 1.0 - aux_weight, None if primary is None else (primary[2], fw.rep)),
@@ -716,13 +700,13 @@ def grad_primary(params: ModelParams, batch) -> np.ndarray:
     Predictor-head blocks of the result are exactly zero: the classification
     path never touches them.
     """
-    return _gradient(params, _labelled(params, batch), None, 0.0, "grad_primary")
+    return _gradient(params, PackedBatch.pack(batch), None, 0.0, "grad_primary")
 
 
 def grad_total(params: ModelParams, support_batch, masked_support,
                aux_weight: float) -> np.ndarray:
     """Exact gradient of total_loss over all parameter blocks."""
-    packed, masked = _branches(params, support_batch, masked_support, aux_weight)
+    packed, masked = _branches(support_batch, masked_support, aux_weight)
     return _gradient(params, packed, masked, aux_weight, "grad_total")
 
 

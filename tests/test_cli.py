@@ -53,6 +53,19 @@ def test_gen_corpus_rejects_negative_split_counts(tmp_path, capsys):
     assert rc == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert not (tmp_path / "split.json").exists()
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+def test_gen_corpus_rejects_split_counts_over_the_class_count(tmp_path, capsys, monkeypatch):
+    """Split counts that add up to more than --classes fail before the corpus
+    is written, so neither file is left behind."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gen-corpus", "--out", "corpus.jsonl", "--classes", "3",
+               "--docs-per-class", "2", "--tokens-per-class", "3", "--overlap", "0.5",
+               "--split-out", "split.json", "--split-counts", "2", "1", "1"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--split-out", "split.json"],
@@ -165,6 +178,20 @@ def test_ablate_command_with_grid_file(workspace, capsys):
     assert rc == 0
     rows = (workspace / "ablation" / "summary.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("grid", ["strategy", [["aux_weight", [0.0]]]])
+def test_ablate_rejects_a_grid_that_is_not_an_object(workspace, capsys, grid):
+    """A grid file holding a string or a list is a ConfigError saying what a
+    grid must be, not a report of its characters as unknown keys or a
+    TypeError."""
+    path = workspace / "bad_grid.json"
+    path.write_text(json.dumps(grid))
+    rc = main(["ablate", "--config", str(workspace / "config.json"), "--grid", str(path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert "grid must map config fields to lists" in err["message"]
 
 
 def test_check_gradients_command(capsys):

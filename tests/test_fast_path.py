@@ -7,8 +7,9 @@ from it, the passes' in-place arithmetic and matmul contractions, the
 backward pass's scatters, the stacked pass of both branches against the
 per-branch assembly, the in-place gradient assembly, the finiteness check and
 the gate's views against the slow forms they replace, and the bytes one
-gradient or fine-tune step allocates."""
+gradient or fine-tune step allocates, and what a fine-tune leaves alive."""
 
+import gc
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -388,8 +389,9 @@ def slow_forward(params, tokens, mask):
 
 
 def fast_forward(params, tokens, mask):
-    """model._forward over the plan of these padded tokens."""
-    return model._forward(params, model._Plan.build(tokens, mask, params, len(tokens)))
+    """The plan of these padded tokens and model._forward over it."""
+    plan = model._Plan.build(tokens, mask, params, len(tokens))
+    return plan, model._forward(params, plan)
 
 
 def slow_softmax_xent(logits, labels):
@@ -408,11 +410,22 @@ def slow_softmax_xent(logits, labels):
     return loss, dlogits
 
 
+def slow_padded(masked):
+    """The masked sequences padded with PAD into (B, L) tokens, and the
+    targets as (sequence index, position, original id) int arrays."""
+    tokens = np.full((len(masked.sequences), max([1, *map(len, masked.sequences)])), PAD_ID)
+    for row, seq in zip(tokens, masked.sequences):
+        row[:len(seq)] = seq
+    si, pos, orig = (np.array([t[i] for t in masked.targets], dtype=np.int64)
+                     for i in range(3))
+    return tokens, (si, pos, orig)
+
+
 def slow_aux_pass(params, masked):
     """The masked-token branch's (fw, target hidden states, loss, d loss/d
     logits) from the slow forms, over the masked batch alone."""
-    fw = slow_forward(params, *masked.packed)
-    si, pos, orig = masked.target_arrays
+    tokens, (si, pos, orig) = slow_padded(masked)
+    fw = slow_forward(params, tokens, tokens != PAD_ID)
     h_tgt = fw.hidden[si, pos]
     return (fw, h_tgt, *slow_softmax_xent(h_tgt @ params.P.T + params.p0, orig))
 
@@ -447,19 +460,19 @@ def slow_grad_aux_raw(params, masked, aux_pass):
     the hidden-state scatter as np.add.at into zeros; returns the scattered
     d_hidden and the blocks (dE, dW1, db1, dP, dp0)."""
     fw, h_tgt, _, d_logits = aux_pass
-    si, pos, _ = masked.target_arrays
+    tokens, (si, pos, _) = slow_padded(masked)
     dP = d_logits.T @ h_tgt
     dp0 = d_logits.sum(axis=0)
     d_h_tgt = d_logits @ params.P
     d_hidden = np.zeros_like(fw.hidden)
     np.add.at(d_hidden, (si, pos), d_h_tgt)
-    return d_hidden, (*slow_backprop_encoder(params, masked.packed[0], fw, d_hidden), dP, dp0)
+    return d_hidden, (*slow_backprop_encoder(params, tokens, fw, d_hidden), dP, dp0)
 
 
-def fast_backprop(params, fw, d_hidden):
+def fast_backprop(params, plan, fw, d_hidden):
     """(dE, dW1, db1) as model._backprop_encoder writes them into its vector,
     run on a copy of d_hidden, which it overwrites."""
-    values = model._backprop_encoder(params, fw, d_hidden.copy())
+    values = model._backprop_encoder(params, plan, fw, d_hidden.copy())
     return tuple(values[params.layout().slices[name]].reshape(getattr(params, name).shape)
                  for name in model.ENCODER_BLOCKS)
 
@@ -511,9 +524,9 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     packed = PackedBatch.pack(pairs)
     masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=mask_prob,
                                vocab_size=cfg.vocab_size)
-    got = fast_forward(params, packed.tokens, packed.mask)
+    plan, got = fast_forward(params, packed.tokens, packed.mask)
     want = slow_forward(params, packed.tokens, packed.mask)
-    assert same_bits(got.plan.counts, want.counts) and same_bits(got.emb, want.emb)
+    assert same_bits(plan.counts, want.counts) and same_bits(got.emb, want.emb)
     assert close(got.ctx, want.ctx, want.emb)
     assert close(got.hidden, want.hidden)
     assert close(got.rep, want.rep, want.hidden)
@@ -525,7 +538,7 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
                                  shifted[np.arange(size), packed.labels]])
     assert close(got_loss, want_loss, loss_terms)
     assert close(got_d, want_d, np.full(want_d.shape, 1.0 / size))
-    got_fw, _, got_aux = model._pass(params, None, masked)
+    _, got_fw, _, got_aux = model._pass(params, None, masked)
     want_fw, *want_aux = slow_aux_pass(params, masked)
     assert close(got_fw.hidden, want_fw.hidden)
     assert close(got_aux[0], want_aux[0], want_fw.hidden)
@@ -546,11 +559,11 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
         flat[params.layout().slices["W1"]] = -0.0
         params = ModelParams.from_flat(flat, params.layout())
     packed = PackedBatch.pack(random_pairs(rng, cfg, size))
-    fw = fast_forward(params, packed.tokens, packed.mask)
+    plan, fw = fast_forward(params, packed.tokens, packed.mask)
     d_hidden = rng.normal(size=fw.hidden.shape)
     d_hidden[rng.random(d_hidden.shape) < 0.3] = -0.0
     d_hidden *= packed.mask[..., None]
-    got, want = fast_backprop(params, fw, d_hidden), slow_backprop_encoder(
+    got, want = fast_backprop(params, plan, fw, d_hidden), slow_backprop_encoder(
         params, packed.tokens, fw, d_hidden)
     assert backprop_matches(got, want, fw, d_hidden)
 
@@ -571,13 +584,13 @@ def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
     scattered = []
     backprop = model._backprop_encoder
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_backprop_encoder", lambda p, fw, d_hidden: scattered.append(
-            d_hidden.copy()) or backprop(p, fw, d_hidden))
+        mp.setattr(model, "_backprop_encoder", lambda p, plan, fw, d_hidden: scattered.append(
+            d_hidden.copy()) or backprop(p, plan, fw, d_hidden))
         values = model._gradient(params, None, masked, 1.0, "grad_total")
     layout = params.layout()
     got = [values[layout.slices[name]].reshape(getattr(params, name).shape)
            for name in model.ENCODER_BLOCKS + model.PREDICTOR_BLOCKS]
-    fw, _, aux = model._pass(params, None, masked)  # the memoised pass got used
+    _, fw, _, aux = model._pass(params, None, masked)  # the memoised pass got used
     want_d_hidden, want = slow_grad_aux_raw(params, masked, (fw, *aux))
     want = [block + 0.0 for block in want]
     assert same_bits(scattered[0], want_d_hidden)
@@ -634,12 +647,12 @@ def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
             want[layout.slices[name]] += weight * block.ravel()
         return want
 
-    fw, primary, _ = model._pass(params, packed, None)
+    _, fw, primary, _ = model._pass(params, packed, None)
     if aux_weight < 1.0:
         want = assembled(handed[0], (fw.rep, primary[2]), model.CLASSIFIER_BLOCKS,
                          1.0 - aux_weight)
     else:
-        h_tgt, _, d_logits = model._pass(params, None, masked)[2]
+        h_tgt, _, d_logits = model._pass(params, None, masked)[3]
         want = assembled(handed[0], (h_tgt, d_logits), model.PREDICTOR_BLOCKS, aux_weight)
     want_primary = assembled(handed[1], (fw.rep, primary[2]), model.CLASSIFIER_BLOCKS, 1.0)
     assert same_bits(got, want)
@@ -848,3 +861,28 @@ def test_inner_step_allocation_peak(aux_weight):
         fn()  # first calls fill the memo and any caches
         peak = peak_flat_vectors(fn, flat_bytes)
         assert peak <= PEAK_BOUNDS[name, aux_weight], (name, aux_weight, peak)
+
+
+@pytest.mark.parametrize("aux_weight", [0.0, 0.1])
+def test_last_pass_is_freed_without_the_cyclic_gc(aux_weight):
+    """No reference cycle holds a descent's last pass: with the cyclic
+    collector off, a fine-tune leaves no forward pass alive once it returns,
+    so the peak bounds above hold without a collection."""
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(vocab_size=40, d_emb=4, d_h=3, n_way=5)
+    psi = cfg.init_params(rng)
+    pairs = random_pairs(rng, cfg, 5)
+    meta_cfg = MetaConfig(inner_lr=0.3, aux_weight=aux_weight)
+
+    def passes():
+        return [obj for obj in gc.get_objects() if isinstance(obj, model._Forward)]
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = passes()
+        fine_tune(psi, pairs, 2, True, meta_cfg, rng)
+        alive = [fw for fw in passes() if not any(fw is old for old in before)]
+    finally:
+        gc.enable()
+    assert alive == []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from metatext.model import (
     NumericalError,
     grad_primary,
     grad_total,
+    save_params,
     total_loss,
 )
 
@@ -583,6 +585,31 @@ def test_meta_state_checkpoint_round_trip(tmp_path, setup):
     assert np.array_equal(loaded.psi.to_flat(), state.psi.to_flat())
     assert np.array_equal(loaded.m, state.m)
     assert np.array_equal(loaded.v, state.v)
+
+
+@pytest.mark.parametrize("sections", [{}, {"adam_m": None}, {"adam_v": None, "adam_m": None},
+                                      {"adam_m": None, "adam_v": None, "extra": None}])
+def test_load_meta_state_names_the_file_on_wrong_sections(tmp_path, setup, sections):
+    """A metatext-meta file whose sections are not exactly psi, adam_m and
+    adam_v raises ValueError naming the file, not an unpacking error."""
+    _, psi, _, _ = setup
+    path = tmp_path / "meta.bin"
+    save_params(path, psi, "metatext-meta", {name: psi.flat for name in sections},
+                step_count=3)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sections must be psi, adam_m, adam_v")):
+        load_meta_state(path, MetaConfig())
+
+
+@pytest.mark.parametrize("step_count", [None, -1, 2.5, "3", True])
+def test_load_meta_state_names_the_file_on_bad_step_count(tmp_path, setup, step_count):
+    """A metatext-meta file whose step_count is missing or not a
+    non-negative integer raises ValueError naming the file."""
+    _, psi, _, _ = setup
+    path = tmp_path / "meta.bin"
+    extra = {} if step_count is None else {"step_count": step_count}
+    save_params(path, psi, "metatext-meta", {"adam_m": psi.flat, "adam_v": psi.flat}, **extra)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: step_count must be a non-negative integer")):
+        load_meta_state(path, MetaConfig())
 
 
 def test_meta_config_checks_masking():
