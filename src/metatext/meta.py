@@ -43,6 +43,7 @@ from .model import (
     ParamLayout,
     _branches,
     _check_finite,
+    _check_rows,
     check_fields,
     check_masking,
     grad_primary,
@@ -164,6 +165,7 @@ class _WorkingSet:
         the masked-token branch runs (None otherwise), with both batches
         renumbered onto its rows; the targets keep their vocabulary ids, which
         P's full rows score."""
+        _check_rows(batch.tokens, batch.mask, psi.vocab_size, len(batch.tokens))
         present = np.zeros(psi.vocab_size, dtype=bool)
         present[PAD_ID] = True
         present[batch.tokens] = True
@@ -318,11 +320,22 @@ def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
         new_flat = state.psi.flat - cfg.meta_lr * meta_grad
         m, v = state.m.copy(), state.v.copy()
     else:
-        m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * meta_grad
-        v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * meta_grad ** 2
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        new_flat = state.psi.flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # psi - meta_lr * m_hat / (sqrt(v_hat) + eps), operation by operation
+        # in the order that expression takes, into m, v, new_flat and one
+        # temporary: fresh full-size temporaries cost more than the arithmetic.
+        tmp = np.multiply(meta_grad, 1.0 - ADAM_BETA1)
+        m = np.multiply(state.m, ADAM_BETA1)
+        m += tmp
+        np.multiply(np.square(meta_grad, out=tmp), 1.0 - ADAM_BETA2, out=tmp)
+        v = np.multiply(state.v, ADAM_BETA2)
+        v += tmp
+        new_flat = np.divide(v, 1.0 - ADAM_BETA2 ** t)
+        np.sqrt(new_flat, out=new_flat)
+        new_flat += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=tmp)
+        tmp *= cfg.meta_lr
+        np.divide(tmp, new_flat, out=tmp)
+        np.subtract(state.psi.flat, tmp, out=new_flat)
     return MetaState(psi=ModelParams.from_flat(new_flat, state.psi.layout()), m=m, v=v,
                      step_count=t, cfg=cfg)
 

@@ -2,9 +2,13 @@ r"""Two-headed text encoder: classification head plus masked-token prediction he
 
 The encoder is deliberately small: token embeddings, a mean-pooled context
 vector, and a single tanh layer producing per-token hidden states. Both heads
-are linear softmax classifiers over those hidden states. All losses come with
-exact analytic gradients, returned as flat vectors in the parameter layout's
-order, so the meta-learning loop never needs an autodiff framework.
+are linear softmax classifiers over those hidden states: the classifier over
+their mean, the token predictor at each masked position. A pass computes
+hidden states only where a head reads them, and the context means, the mean
+and their gradients are small matmuls against pooling matrices built once per
+batch (see _Plan). All losses come with exact analytic gradients, returned as
+flat vectors in the parameter layout's order, so the meta-learning loop never
+needs an autodiff framework.
 
 Parameter blocks, in fixed flat order:
     E  (vocab, d_emb)   token embeddings        \
@@ -333,56 +337,94 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 # forward pass
 
 
+def _check_rows(tokens: np.ndarray, mask: np.ndarray, e_rows: int, split: int) -> np.ndarray:
+    """The non-PAD count of each padded row; an empty row or an id outside
+    0..e_rows - 1 raises, naming the sequence (the rows from split on
+    numbered from 0 again)."""
+    counts = mask.sum(axis=1)
+    if not counts.all() or tokens.min() < 0 or tokens.max() >= e_rows:
+        row, pos = np.argwhere((counts == 0)[:, None] | (tokens < 0) | (tokens >= e_rows))[0]
+        name = f"sequence {row if row < split else row - split}"
+        if counts[row] == 0:
+            raise EncodingError(f"{name} is empty after PAD removal")
+        raise ValueError(f"{name} holds token id {tokens[row, pos]}, outside 0..{e_rows - 1}")
+    return counts
+
+
 @dataclass(eq=False, slots=True)
 class _Plan:
-    """Everything derived from one padded (B, L) token batch, for one shape
-    of E and one classifier width: a batch derives its plan on first use and
-    keeps it, so every pass over it reads the plan, and the plan keeps the
-    batch's last pass. The first split rows are a PackedBatch's and the rest
-    a MaskedBatch's; a plan kept by a PackedBatch holds the MaskedBatch
-    stacked under it, if any, in stacked."""
+    """Everything derived from one batch of B rows, for one shape of E and
+    one classifier width: a batch derives its plan on first use and keeps it,
+    so every pass over it reads the plan, and the plan keeps the batch's last
+    pass. The first split rows are a PackedBatch's and the rest a
+    MaskedBatch's; a plan kept by a PackedBatch holds the MaskedBatch stacked
+    under it, if any, in stacked.
 
-    tokens: np.ndarray   # (B, L) int
-    e_shape: tuple       # the shape of the E it indexes
-    n_way: int           # the classifier width the labels were checked against
-    split: int
+    A pass encodes only its R read positions: the non-PAD positions of the
+    classified rows, row by row, then the masked-token targets in order. The
+    masked rows' non-PAD positions follow them in tokens, as the rows'
+    context means read every non-PAD position: ctx = ctx_pool @ E[tokens].
+    No shape here depends on E's row count, so a pass on a descent's compact
+    layout sums what it sums on the full one, in the same order."""
+
+    e_shape: tuple        # the shape of the E it indexes
+    n_way: int            # the classifier width the labels were checked against
     stacked: MaskedBatch | None
-    counts: np.ndarray   # (B,) non-PAD tokens per sequence
-    pool: np.ndarray     # (B, 1, L) pooling weights mask / counts
-    # (B * L * d_emb,) token id * d_emb + column at each position and column,
-    # and E.size + column at PAD: the embedding scatter's index into flat E,
-    # which sends PAD rows past dE.
+    tokens: np.ndarray    # (R + N,) the id at each read position, then at the masked rows' N
+    rows: np.ndarray      # (R,) the row each read position lies in
+    ctx_pool: np.ndarray  # (B, R + N) 1 / row length where a column's position lies in the row
+    pool: np.ndarray      # (split, n_c) ctx_pool's classified block, which rep reads too
+    row_sum: np.ndarray   # (B, R) 1.0 where the read position lies in the row
+    # ((R + N) * d_emb,) id * d_emb + column for each of tokens and each
+    # column: the embedding scatter's index into flat E.
     index: np.ndarray
-    # (T, 3) int: the masked-token targets as (row, position, original id),
-    # the row being the sequence index plus split.
-    targets: np.ndarray
+    labels: np.ndarray    # (T,) the masked-token targets' original ids
     # The last pass over the rows: (params, fw, primary, aux) as _pass
     # returns them, for the params object it ran at.
     memo: tuple | None = None
 
+    @property
+    def n_c(self) -> int:
+        """How many read positions the classified rows hold."""
+        return self.pool.shape[1]
+
     @classmethod
     def build(cls, tokens: np.ndarray, mask: np.ndarray, params: ModelParams, split: int,
               stacked: MaskedBatch | None = None, targets=()) -> _Plan:
-        counts = mask.sum(axis=1).astype(np.float64)
-        if np.any(counts == 0):
-            bad = int(np.flatnonzero(counts == 0)[0])
-            raise EncodingError(f"sequence {bad if bad < split else bad - split} "
-                                "is empty after PAD removal")
-        base = np.where(mask, tokens * params.d_emb, params.E.size)
-        index = (base[..., None] + np.arange(params.d_emb)).ravel()
-        targets = np.array(targets, dtype=np.int64).reshape(-1, 3) + (split, 0, 0)
-        return cls(tokens=tokens, e_shape=params.E.shape, n_way=params.n_way, split=split,
-                   stacked=stacked, counts=counts, pool=(mask / counts[:, None])[:, None, :],
-                   index=index, targets=targets)
+        """The plan of padded (B, L) tokens whose first split rows are
+        classified, with the (sequence index, position, original id) targets
+        of the rows after them; an empty row or an id outside E's rows raises,
+        naming the sequence."""
+        counts = _check_rows(tokens, mask, params.E.shape[0], split)
+        d_emb = params.d_emb
+        targets = np.array(targets, dtype=np.int64).reshape(-1, 3)
+        row_of, _ = np.nonzero(mask)
+        nonpad = tokens[mask]
+        n_c = int(counts[:split].sum())
+        n_read = n_c + len(targets)
+        rows = np.concatenate([row_of[:n_c], targets[:, 0] + split])
+        read = np.concatenate([nonpad[:n_c], tokens[rows[n_c:], targets[:, 1]], nonpad[n_c:]])
+        # The columns of the non-PAD positions: the classified rows' read
+        # positions, then the masked rows' positions past the targets.
+        columns = np.arange(row_of.size)
+        columns[n_c:] += len(targets)
+        ctx_pool = np.zeros((len(tokens), read.size))
+        ctx_pool[row_of, columns] = 1.0 / counts[row_of]
+        row_sum = np.zeros((len(tokens), n_read))
+        row_sum[rows, np.arange(n_read)] = 1.0
+        return cls(e_shape=params.E.shape, n_way=params.n_way, stacked=stacked, tokens=read,
+                   rows=rows, ctx_pool=ctx_pool, pool=ctx_pool[:split, :n_c], row_sum=row_sum,
+                   index=(read[:, None] * d_emb + np.arange(d_emb)).ravel(),
+                   labels=targets[:, 2])
 
 
 @dataclass(slots=True)
 class _Forward:
-    """Cached intermediates for one batched forward pass."""
+    """Cached intermediates for one forward pass over a plan's rows."""
 
-    emb: np.ndarray      # (B, L, d_emb)
+    emb: np.ndarray      # (R, d_emb) at the read positions
     ctx: np.ndarray      # (B, d_emb)
-    hidden: np.ndarray   # (B, L, d_h)
+    hidden: np.ndarray   # (R, d_h) at the read positions
     rep: np.ndarray      # (split, d_h)
 
 
@@ -446,32 +488,37 @@ def _plan_of(params: ModelParams, packed: PackedBatch | None,
 
 def _forward(params: ModelParams, plan: _Plan) -> _Forward:
     d_emb = params.d_emb
-    # Both masked means are one batched matmul with the pooling weights.
-    emb = params.E[plan.tokens]                                 # (B, L, De)
-    ctx = (plan.pool @ emb)[:, 0]                               # (B, De)
-    w_tok = params.W1[:, :d_emb]
-    w_ctx = params.W1[:, d_emb:]
-    hidden = emb @ w_tok.T                                      # (B, L, Dh)
-    hidden += (ctx @ w_ctx.T)[:, None, :]
-    hidden += params.b1
+    # Both masked means are matmuls with the plan's pooling matrices. Row
+    # gathers go through take, which costs half what fancy indexing does.
+    emb = params.E.take(plan.tokens, axis=0)                    # (R + N, De)
+    ctx = plan.ctx_pool @ emb                                   # (B, De)
+    emb = emb[:len(plan.rows)]
+    pre_ctx = ctx @ params.W1[:, d_emb:].T                      # (B, Dh)
+    pre_ctx += params.b1
+    hidden = emb @ params.W1[:, :d_emb].T                       # (R, Dh)
+    hidden += pre_ctx.take(plan.rows, axis=0)
     np.tanh(hidden, out=hidden)
-    # Sentence representations of the rows that are classified, the first
-    # split.
-    rep = (plan.pool[:plan.split] @ hidden[:plan.split])[:, 0]  # (split, Dh)
+    rep = plan.pool @ hidden[:plan.n_c]                         # (split, Dh)
     return _Forward(emb=emb, ctx=ctx, hidden=hidden, rep=rep)
 
 
 def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
     """Encode one sequence.
 
-    Returns per-token hidden states (length x d_h) and the sentence
-    representation (mean hidden state over non-PAD positions).
+    Returns per-token hidden states (length x d_h, one per position, PAD's
+    included) and the sentence representation (mean hidden state over
+    non-PAD positions).
     """
     seq = np.asarray(sequence, dtype=np.int64)
     if seq.ndim != 1 or not np.any((seq != PAD_ID)):
         raise EncodingError("sequence is empty after PAD removal")
-    fw = _forward(params, _Plan.build(seq[None, :], (seq != PAD_ID)[None, :], params, 1))
-    return fw.hidden[0], fw.rep[0]
+    # The sequence classified, then again with every position a target, so
+    # that the pass encodes each position.
+    tokens = np.stack([seq, seq])
+    plan = _Plan.build(tokens, tokens != PAD_ID, params, 1, None,
+                       [(0, pos, 0) for pos in range(seq.size)])
+    fw = _forward(params, plan)
+    return fw.hidden[plan.n_c:], fw.rep[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +559,10 @@ def _pass(params: ModelParams, packed: PackedBatch | None, masked: MaskedBatch |
             logits = fw.rep @ params.C.T + params.c0
             primary = (logits, *_softmax_xent(logits, packed.labels))
         if masked is not None:
-            rows, pos, orig = plan.targets.T
-            h_tgt = fw.hidden[rows, pos]                               # (T, Dh)
+            h_tgt = fw.hidden[plan.n_c:]                               # (T, Dh)
             logits = h_tgt @ params.P.T                                # (T, V)
             logits += params.p0
-            aux = (h_tgt, *_softmax_xent(logits, orig))
+            aux = (h_tgt, *_softmax_xent(logits, plan.labels))
         plan.memo = (params, fw, primary, aux)
     return plan, *plan.memo[1:]
 
@@ -576,45 +622,34 @@ def total_loss(params: ModelParams, support_batch, masked_support,
 
 def _backprop_encoder(params: ModelParams, plan: _Plan, fw: _Forward,
                       d_hidden: np.ndarray) -> np.ndarray:
-    """Push a gradient on the per-token hidden states of a pass over plan's
-    rows back to E, W1, b1: a new flat vector in params' layout with those
-    blocks written and the others left for the caller to write. It is
-    allocated once the embedding scatter's temporaries are gone.
+    """Push a gradient on the hidden states at a pass's read positions back
+    to E, W1, b1: a new flat vector in params' layout with those blocks
+    written and the others 0.0, for the caller to write.
 
-    d_hidden must already be zero at PAD positions. It is overwritten with
-    the gradient on the pre-activations, so that no array of its size outlives
-    this line besides it.
+    d_hidden is overwritten with the gradient on the pre-activations, so that
+    no array of its size outlives this line besides it.
     """
     d_emb, d_h = params.d_emb, params.d_h
-    w_tok = params.W1[:, :d_emb]
-    w_ctx = params.W1[:, d_emb:]
     layout = params.layout()
 
     tanh_grad = fw.hidden ** 2
-    d_pre = d_hidden                                             # (B, L, Dh)
+    d_pre = d_hidden                                             # (R, Dh)
     d_pre *= np.subtract(1.0, tanh_grad, out=tanh_grad)
     del tanh_grad
-    d_pre_sum = np.add.reduce(d_pre, axis=1)                     # (B, Dh)
+    d_pre_sum = plan.row_sum @ d_pre                             # (B, Dh)
 
-    # ctx is the masked mean of embeddings, so its gradient spreads uniformly
-    # over non-PAD positions; the scatter below drops the PAD rows.
-    d_emb_total = d_pre @ w_tok                                  # (B, L, De)
-    d_emb_total += ((d_pre_sum @ w_ctx) / plan.counts[:, None])[:, None, :]
+    # The gradient on E's rows at each of the plan's tokens, through ctx =
+    # ctx_pool @ E[tokens] and, at the read positions, the token path. One
+    # bincount over the plan's flat index sums it into E, each entry in input
+    # order from 0.0, and its output, the length of the layout, is the vector.
+    d_rows = plan.ctx_pool.T @ (d_pre_sum @ params.W1[:, d_emb:])   # (R + N, De)
+    d_rows[:len(plan.rows)] += d_pre @ params.W1[:, :d_emb]
+    values = np.bincount(plan.index, weights=d_rows.ravel(), minlength=layout.size)
+    del d_rows
 
-    # One bincount over the plan's flat index token * d_emb + column sums each
-    # entry of E in input order from 0.0, as np.add.at into zeros would; PAD
-    # rows land in d_emb bins past E, which are dropped.
-    dE = np.bincount(plan.index, weights=d_emb_total.ravel(),
-                     minlength=params.E.size + d_emb)
-    del d_emb_total
-    values = np.empty(layout.size)
-    values[layout.slices["E"]] = dE[:params.E.size]
-    del dE
-
-    # d_pre and emb are fresh C-contiguous arrays, so both reshapes are views;
-    # each half of dW1 is written in place.
+    # Each half of dW1 is written in place.
     dW1 = values[layout.slices["W1"]].reshape(d_h, 2 * d_emb)
-    np.matmul(d_pre.reshape(-1, d_h).T, fw.emb.reshape(-1, d_emb), out=dW1[:, :d_emb])
+    np.matmul(d_pre.T, fw.emb, out=dW1[:, :d_emb])
     np.matmul(d_pre_sum.T, fw.ctx, out=dW1[:, d_emb:])
     np.add.reduce(d_pre_sum, axis=0, out=values[layout.slices["b1"]])
     return values
@@ -640,51 +675,43 @@ def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBat
     finite for op.
 
     The encoder's backward pass allocates the one vector; each block's
-    product is written into its slice, and the blocks no branch touches are
-    zero-filled. A single branch's blocks are its own loss's gradient, scaled
+    product is written into its slice, and the blocks no branch touches stay
+    0.0. A single branch's blocks are its own loss's gradient, scaled
     by the branch's weight in place (skipped at weight 1.0). With both, one
     backward pass runs over a d_hidden whose rows already carry their
-    branch's weight, and only the head blocks are scaled. A last 0.0 + x over
+    branch's weight, and so do the inputs of each head's weight block; the
+    bias blocks are scaled. A last 0.0 + x over
     the vector turns -0.0 into +0.0: the outputs depend on those bits."""
     plan, fw, primary, aux = _pass(params, packed, masked)
     layout = params.layout()
     both = primary is not None and aux is not None
-    d_hidden = None
+    # The read positions of the classified rows, then the targets.
+    d_hidden = np.empty_like(fw.hidden)                          # (R, Dh)
     if primary is not None:
-        d_rep = primary[2] @ params.C                            # (B, Dh)
+        d_rep = primary[2] @ params.C                            # (split, Dh)
         if both:
             d_rep *= 1.0 - aux_weight
-        pool = plan.pool[:plan.split, 0, :, None]
-        if aux is None:
-            d_hidden = d_rep[:, None, :] * pool
-        else:
-            d_hidden = np.zeros_like(fw.hidden)
-            np.multiply(d_rep[:, None, :], pool, out=d_hidden[:plan.split])
+        np.matmul(plan.pool.T, d_rep, out=d_hidden[:plan.n_c])
     if aux is not None:
-        d_h_tgt = aux[2] @ params.P                              # (T, Dh)
+        d_h_tgt = np.matmul(aux[2], params.P, out=d_hidden[plan.n_c:])
         if both:
             d_h_tgt *= aux_weight
-        if d_hidden is None:
-            d_hidden = np.zeros_like(fw.hidden)
-        # The (si, pos) targets are unique, so += adds each row once into 0.0.
-        rows, pos, _ = plan.targets.T
-        d_hidden[rows, pos] += d_h_tgt
     values = _backprop_encoder(params, plan, fw, d_hidden)
     # Each head as (weight block, bias block, the branch's weight, and the
     # branch's d loss/d logits and what its logits were taken from, or None).
     heads = (("C", "c0", 1.0 - aux_weight, None if primary is None else (primary[2], fw.rep)),
              ("P", "p0", aux_weight, None if aux is None else (aux[2], aux[0])))
     for weights, bias, weight, branch in heads:
-        w_block, b_block = values[layout.slices[weights]], values[layout.slices[bias]]
         if branch is None:
-            w_block.fill(0.0)
-            b_block.fill(0.0)
             continue
+        w_block, b_block = values[layout.slices[weights]], values[layout.slices[bias]]
         d_logits, inputs = branch
+        if both:
+            # The weight goes on the inputs, fewer entries than the block.
+            inputs = inputs * weight
         np.matmul(d_logits.T, inputs, out=w_block.reshape(getattr(params, weights).shape))
         np.add.reduce(d_logits, axis=0, out=b_block)
         if both:
-            w_block *= weight
             b_block *= weight
     if not both:
         weight = 1.0 - aux_weight if aux is None else aux_weight

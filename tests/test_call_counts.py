@@ -1,8 +1,10 @@
 """Counted calls: one tiny run_training per method, under the benchmark's tracer
 (bench/spans.py), makes exactly the calls that bench/checks.py derives from
 its config. A change that routes around a counted function fails here as well
-as in the benchmark. The bench modules are imported, not copied."""
+as in the benchmark. The bench modules are imported, not copied. The same
+tiny runs leave no cyclic garbage."""
 
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -50,3 +52,22 @@ def test_traced_calls_match_the_benchmark_contract(base_config, method, fine_tun
     masks = episodes * (method in AMGS_FAMILY)
     masks += evals * (fine_tune_steps > 0 and config.fine_tune_args()[1])
     assert calls["model.MaskedBatch.build"] == masks
+
+
+@pytest.mark.parametrize("method", ["amgs", "fomaml", "reptile"])
+def test_run_training_leaves_no_cyclic_garbage(base_config, method):
+    """With the cyclic collector off, a run frees everything it made by
+    reference counting: a collection afterwards finds nothing unreachable."""
+    config = replace(base_config, method=method)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_training(config)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not garbage, f"{len(garbage)} objects, the first a {type(garbage[0]).__name__}"

@@ -3,7 +3,8 @@ against (sequence, label) pairs, one forward pass per step, the per-batch
 plan's cache, flat-buffer views against copied blocks, test-time fine-tuning
 against the inner loop, the descent on the working set against the plain
 loop on all of psi, psi left untouched by every step function that adapts
-from it, the passes' in-place arithmetic and matmul contractions, the
+from it, the passes over their read positions (in-place arithmetic and
+matmul contractions) against the slow forms over every padded position, the
 backward pass's scatters, the stacked pass of both branches against the
 per-branch assembly, the in-place gradient assembly, the finiteness check and
 the gate's views against the slow forms they replace, and the bytes one
@@ -368,10 +369,14 @@ def test_step_functions_leave_psi_unchanged(seed, steps, aux_weight):
 
 
 # ---------------------------------------------------------------------------
-# the passes' kernels against the slow forms they replace. The masked means
-# and dW_tok are matmuls, which sum in another order than the sums over
-# (sequence, position) they replace: those quantities and what is built on
-# them agree to 1e-12 relative; on the same inputs, everything else is bitwise.
+# the passes' kernels against the slow forms they replace. A pass encodes only
+# its read positions: the non-PAD positions of the classified rows, then the
+# masked-token targets. Its masked means, the pre-activations, d_pre's row
+# sums, dW1 and dE are matmuls and one bincount, which sum in another order
+# than the sums over (sequence, position) they replace: those quantities and
+# what is built on them agree with the slow forms at the read positions to
+# 1e-12 relative of the terms summed; on the same inputs, everything else is
+# bitwise.
 
 
 def slow_forward(params, tokens, mask):
@@ -389,9 +394,44 @@ def slow_forward(params, tokens, mask):
 
 
 def fast_forward(params, tokens, mask):
-    """The plan of these padded tokens and model._forward over it."""
+    """The plan of these padded tokens, every row classified, and
+    model._forward over it."""
     plan = model._Plan.build(tokens, mask, params, len(tokens))
     return plan, model._forward(params, plan)
+
+
+def read_positions(tokens, split, targets=()):
+    """(rows, positions) of a pass's read positions over padded tokens whose
+    first split rows are classified: those rows' non-PAD positions, row by
+    row, then each (sequence index, position, id) target's, its row counted
+    from split."""
+    rows, pos = np.nonzero(tokens[:split] != PAD_ID)
+    targets = np.array(targets, dtype=np.int64).reshape(-1, 3)
+    return np.concatenate([rows, targets[:, 0] + split]), np.concatenate([pos, targets[:, 1]])
+
+
+def spread(values, tokens, at):
+    """values at the read positions at, in an array of zeros over the padded
+    tokens' (B, L) positions."""
+    out = np.zeros(tokens.shape + values.shape[1:])
+    out[at] = values
+    return out
+
+
+def slow_layout(fw, tokens, at):
+    """A fast pass's emb, ctx and hidden in the slow forms' (B, L) layout,
+    zero off its read positions at."""
+    return SimpleNamespace(emb=spread(fw.emb, tokens, at), ctx=fw.ctx,
+                           hidden=spread(fw.hidden, tokens, at))
+
+
+def pre_terms(params, fw):
+    """The magnitudes of the terms each pre-activation of a slow pass sums:
+    |emb| |W_tok|^T + |ctx| |W_ctx|^T + |b1|, per (row, position)."""
+    d_emb = params.d_emb
+    w1 = np.abs(params.W1)
+    return (np.abs(fw.emb) @ w1[:, :d_emb].T + (np.abs(fw.ctx) @ w1[:, d_emb:].T)[:, None, :]
+            + np.abs(params.b1))
 
 
 def slow_softmax_xent(logits, labels):
@@ -477,16 +517,19 @@ def fast_backprop(params, plan, fw, d_hidden):
                  for name in model.ENCODER_BLOCKS)
 
 
-def backprop_matches(got, want, fw, d_hidden) -> bool:
-    """(dE, dW1, db1) of _backprop_encoder against the slow form's on the same
-    pass and d_hidden: dE, db1 and dW1's context half bitwise, its token half
-    (dW_tok) to 1e-12 relative of the terms it sums."""
-    d_emb = fw.emb.shape[-1]
-    terms = np.einsum("bld,ble->de", np.abs(d_hidden * (1.0 - fw.hidden ** 2)), np.abs(fw.emb))
-    (dE, dW1, db1), (want_dE, want_dW1, want_db1) = got, want
-    return (same_bits(dE, want_dE) and same_bits(db1, want_db1)
-            and same_bits(dW1[:, d_emb:], want_dW1[:, d_emb:])
-            and close(dW1[:, :d_emb], want_dW1[:, :d_emb], terms))
+def backprop_matches(got, params, fw, d_hidden, tokens, at) -> bool:
+    """(dE, dW1, db1) of _backprop_encoder, from a fast pass over padded
+    tokens and a gradient on its read positions at, against the slow form's
+    on the same pass and gradient in the (B, L) layout: each block to 1e-12
+    relative of the terms it sums, the slow form's blocks over |W1|, |emb|,
+    |ctx| and |d_hidden|."""
+    slow, d_full = slow_layout(fw, tokens, at), spread(d_hidden, tokens, at)
+    want = slow_backprop_encoder(params, tokens, slow, d_full)
+    magnitudes = ModelParams.from_flat(np.abs(params.flat), params.layout())
+    terms = slow_backprop_encoder(
+        magnitudes, tokens, SimpleNamespace(emb=np.abs(slow.emb), ctx=np.abs(slow.ctx),
+                                            hidden=slow.hidden), np.abs(d_full))
+    return all(close(g, w, t) for g, w, t in zip(got, want, terms))
 
 
 def with_negative_zeros(arrays, rng):
@@ -513,23 +556,25 @@ pass_sizes = st.one_of(st.integers(1, 6), st.just(25))
 def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     """_forward, _softmax_xent and the masked-token logits reuse their own
     temporaries, the masked means are matmuls, and the softmax takes one
-    exponential: counts and emb are bitwise the forms that allocate one array
-    per operation and take two exponentials, and ctx, hidden, rep, the
-    softmax's loss and gradient and the masked-token pass built on them agree
-    to 1e-12 (the softmax's relative to the terms it sums: the log row sums
-    and picked logits, and 1/n)."""
+    exponential: emb at the read positions is bitwise the forms that allocate
+    one array per operation and take two exponentials, and ctx, hidden at
+    the read positions, rep, the softmax's loss and gradient and the
+    masked-token pass built on them agree to 1e-12 (hidden states and rep
+    relative to the pre-activations' terms, the softmax's to the terms it
+    sums: the log row sums and picked logits, and 1/n)."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
     packed = PackedBatch.pack(pairs)
     masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=mask_prob,
                                vocab_size=cfg.vocab_size)
-    plan, got = fast_forward(params, packed.tokens, packed.mask)
+    _, got = fast_forward(params, packed.tokens, packed.mask)
     want = slow_forward(params, packed.tokens, packed.mask)
-    assert same_bits(plan.counts, want.counts) and same_bits(got.emb, want.emb)
+    at, terms = read_positions(packed.tokens, size), pre_terms(params, want)
+    assert same_bits(got.emb, want.emb[at])
     assert close(got.ctx, want.ctx, want.emb)
-    assert close(got.hidden, want.hidden)
-    assert close(got.rep, want.rep, want.hidden)
+    assert close(got.hidden, want.hidden[at], terms[at])
+    assert close(got.rep, want.rep, terms)
     logits = want.rep @ params.C.T + params.c0
     got_loss, got_d = model._softmax_xent(logits, packed.labels)
     want_loss, want_d = slow_softmax_xent(logits, packed.labels)
@@ -540,18 +585,21 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     assert close(got_d, want_d, np.full(want_d.shape, 1.0 / size))
     _, got_fw, _, got_aux = model._pass(params, None, masked)
     want_fw, *want_aux = slow_aux_pass(params, masked)
-    assert close(got_fw.hidden, want_fw.hidden)
-    assert close(got_aux[0], want_aux[0], want_fw.hidden)
+    at = read_positions(want_fw.tokens, 0, masked.targets)
+    assert got_aux[0].shape == got_fw.hidden.shape == want_aux[0].shape
+    assert close(got_aux[0], want_aux[0], pre_terms(params, want_fw)[at])
     assert close(got_aux[1], want_aux[1]) and close(got_aux[2], want_aux[2])
 
 
 @SETTINGS
 @given(cfg=small_vocab_configs, seed=seeds, size=pass_sizes, zero_w1=st.booleans())
 def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
-    """On the same pass, the bincount scatter of dE is bitwise np.add.at into
-    zeros and the matmul dW_tok matches the einsum: a vocabulary of 1-5 real
-    tokens repeats them, random_pairs pads some sequences, and a -0.0 W1 with
-    -0.0 entries in d_hidden makes rows of signed zeros."""
+    """On the same pass, the bincount scatter of dE (the token path at the
+    read positions, the context path at every non-PAD position), d_pre's row
+    sums and the matmuls dW_tok and dW_ctx match np.add.at into zeros and the
+    sums over (sequence, position): a vocabulary of 1-5 real tokens repeats
+    them, random_pairs pads some sequences, and a -0.0 W1 with -0.0 entries
+    in d_hidden makes rows of signed zeros."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     if zero_w1:
@@ -562,20 +610,18 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
     plan, fw = fast_forward(params, packed.tokens, packed.mask)
     d_hidden = rng.normal(size=fw.hidden.shape)
     d_hidden[rng.random(d_hidden.shape) < 0.3] = -0.0
-    d_hidden *= packed.mask[..., None]
-    got, want = fast_backprop(params, plan, fw, d_hidden), slow_backprop_encoder(
-        params, packed.tokens, fw, d_hidden)
-    assert backprop_matches(got, want, fw, d_hidden)
+    assert backprop_matches(fast_backprop(params, plan, fw, d_hidden), params, fw, d_hidden,
+                            packed.tokens, read_positions(packed.tokens, size))
 
 
 @SETTINGS
 @given(cfg=small_vocab_configs, seed=seeds, size=pass_sizes,
        mask_prob=st.sampled_from([0.3, 1.0]))
 def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
-    """On the same pass, the masked-token branch's d_hidden scatter
-    (fancy-index +=, its (sequence, position) targets being unique) is
-    bitwise np.add.at, and so is every block of the gradient built on it but
-    dW_tok, as 0.0 + block."""
+    """On the same pass, the masked-token branch's d_hidden, one row per
+    target, is bitwise the rows np.add.at scatters into zeros, up to the sign
+    of zeros, and dP and dp0 built on it are bitwise 0.0 + block; the encoder
+    blocks match as test_embedding_scatter_matches_add_at's do."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
@@ -591,11 +637,13 @@ def test_aux_hidden_scatter_matches_add_at(cfg, seed, size, mask_prob):
     got = [values[layout.slices[name]].reshape(getattr(params, name).shape)
            for name in model.ENCODER_BLOCKS + model.PREDICTOR_BLOCKS]
     _, fw, _, aux = model._pass(params, None, masked)  # the memoised pass got used
-    want_d_hidden, want = slow_grad_aux_raw(params, masked, (fw, *aux))
+    tokens = slow_padded(masked)[0]
+    at = read_positions(tokens, 0, masked.targets)
+    want_d_hidden, want = slow_grad_aux_raw(params, masked, (slow_layout(fw, tokens, at), *aux))
     want = [block + 0.0 for block in want]
-    assert same_bits(scattered[0], want_d_hidden)
+    assert same_bits(spread(scattered[0], tokens, at) + 0.0, want_d_hidden)
     assert same_bits(got[3], want[3]) and same_bits(got[4], want[4])
-    assert backprop_matches(got[:3], want[:3], fw, want_d_hidden)
+    assert backprop_matches(got[:3], params, fw, scattered[0], tokens, at)
     assert same_bits(values[layout.slices["C"]], np.zeros(params.C.size))
     assert same_bits(values[layout.slices["c0"]], np.zeros(params.n_way))
 
@@ -737,6 +785,65 @@ def test_stacked_pass_matches_per_branch_assembly(cfg, seed, size, aux_weight, m
     assert close(got_loss, want_loss) and close(aux_loss(params, masked), want_aux)
 
 
+@SETTINGS
+@given(cfg=small_vocab_configs, seed=seeds, size=st.integers(1, 6),
+       aux_weight=st.sampled_from([0.0, 0.3, 1.0]), pads=st.integers(0, 12),
+       repeat=st.booleans(), drop_targets=st.booleans())
+def test_read_positions_match_slow_forms(cfg, seed, size, aux_weight, pads, repeat,
+                                         drop_targets):
+    """Over the stacked rows of the branches aux_weight runs (at 1.0 no row
+    is classified), ctx, the hidden states at the read positions, rep, the
+    target hidden states and (dE, dW1, db1) match the slow forms over the
+    same padded rows. Rows may be PAD-heavy (up to 12 PADs among and after
+    the tokens) or repeat a token, and the first masked sequence may hold no
+    target."""
+    rng = np.random.default_rng(seed)
+    params = cfg.init_params(rng)
+    pairs = []
+    for seq, label in random_pairs(rng, cfg, size):
+        seq = np.concatenate([seq, seq[:2]]) if repeat else seq
+        pairs.append((np.insert(seq, rng.integers(0, seq.size + 1, size=pads), PAD_ID), label))
+    masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=0.5, vocab_size=cfg.vocab_size)
+    if drop_targets:
+        masked = MaskedBatch(sequences=masked.sequences,
+                             targets=[t for t in masked.targets if t[0] != 0])
+    packed, masked = model._branches(pairs, masked, aux_weight)
+    plan, fw, _, aux = model._pass(params, packed, masked)
+    split = 0 if packed is None else size
+    rows = MaskedBatch(sequences=[*([] if packed is None else packed.tokens),
+                                  *([] if masked is None else masked.sequences)],
+                       targets=[] if masked is None else masked.targets)
+    tokens = slow_padded(rows)[0]
+    at = read_positions(tokens, split, rows.targets)
+    want = slow_forward(params, tokens, tokens != PAD_ID)
+    terms = pre_terms(params, want)
+    assert same_bits(fw.emb, want.emb[at])
+    assert close(fw.ctx, want.ctx, want.emb)
+    assert close(fw.hidden, want.hidden[at], terms[at])
+    assert close(fw.rep, want.rep[:split], terms)
+    if aux is not None:
+        targets = tuple(axis[plan.n_c:] for axis in at)
+        assert close(aux[0], want.hidden[targets], terms[targets])
+    d_hidden = rng.normal(size=fw.hidden.shape)
+    assert backprop_matches(fast_backprop(params, plan, fw, d_hidden), params, fw, d_hidden,
+                            tokens, at)
+
+
+def test_stacked_pass_encodes_only_its_read_positions():
+    """A pass over support rows stacked on masked rows encodes n_c + T
+    positions: the support's non-PAD positions, then the targets."""
+    rng = np.random.default_rng(8)
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    params = cfg.init_params(rng)
+    pairs = random_pairs(rng, cfg, 5)
+    masked = MaskedBatch.build([s for s, _ in pairs], rng, vocab_size=cfg.vocab_size)
+    n_c = sum(int(np.count_nonzero(s != PAD_ID)) for s, _ in pairs)
+    padded = sum(len(s) for s, _ in pairs) + sum(len(s) for s in masked.sequences)
+    plan, fw, _, aux = model._pass(params, PackedBatch.pack(pairs), masked)
+    assert plan.n_c == n_c and aux[0].shape == (masked.num_targets, cfg.d_h)
+    assert fw.hidden.shape == (n_c + masked.num_targets, cfg.d_h) and n_c + masked.num_targets < padded
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_finiteness_check_names_the_block(bad):
     """_check_finite accepts a vector whose dot product with itself is
@@ -804,28 +911,28 @@ def test_fomaml_never_computes_the_accumulated_movement(monkeypatch):
 # allocation guard: peak bytes allocated by one call beyond what existed when
 # it started, in flat parameter vectors, at the benchmark fixture's shapes
 # (vocabulary 400, d = 32, 5 sequences). A gradient call on the full layout
-# returns one vector, and the encoder's backward pass allocates it while the
-# E-sized scatter output (0.45 of a vector) is alive; the rest is the
-# backward pass's small arrays. A 1-step fine-tune descends on the working
-# set and returns one copy of psi: at weight 0 the working set is a few E
-# rows and the dense blocks (about 0.1 of a vector), at weight 0.1 it holds
-# P and p0 too (about 0.6), and the start point, the first gradient and the
-# adapted point are each one such vector, next to the batch's plan, the
-# memoised pass and the descent's own compact layout (about 2 KB, built per
-# descent and not memoised). tracemalloc counts what numpy asks for, whatever the state
-# of the heap. The bounds are the values measured with numpy 2.4, rounded up
-# so that each leaves 1-3 KB (under 0.01 of the 226 KB vector) for small
-# arrays. In brackets, earlier values: while the descent ran on all of psi
-# and the gradient was added into a zero vector block by block; while the
-# update and the gradient's weighted blocks each made a flat- or block-sized
-# temporary; and, at weight 0.1, while each branch ran its own pass and
-# backward pass.
+# returns one vector, which is the output of the encoder's embedding scatter;
+# the rest is the backward pass's small arrays. A 1-step fine-tune
+# descends on the working set and returns one copy of psi: at weight 0 the
+# working set is a few E rows and the dense blocks (about 0.1 of a vector),
+# at weight 0.1 it holds P and p0 too (about 0.6), and the start point, the
+# first gradient and the adapted point are each one such vector, next to the
+# batch's plan, the memoised pass and the descent's own compact layout (about
+# 2 KB, built per descent and not memoised). tracemalloc counts what numpy
+# asks for, whatever the state of the heap. The bounds are the values
+# measured with numpy 2.4, rounded up so that each leaves 1-3 KB (under 0.01
+# of the 226 KB vector) for small arrays. In brackets, earlier values: while
+# the scatter had an output of its own, copied into a vector allocated next
+# to it; while the descent ran on all of psi and the gradient was added into
+# a zero vector block by block; while the update and the gradient's weighted
+# blocks each made a flat- or block-sized temporary; and, at weight 0.1,
+# while each branch ran its own pass and backward pass.
 
 PEAK_BOUNDS = {  # (call, aux weight): flat vectors
-    ("grad_total", 0.0): 1.54,   # [1.55; 2.00; 1.99 while the zero vector came first]
-    ("grad_total", 0.1): 1.625,  # [2.02; 2.97; 2.46 with a pass per branch]
+    ("grad_total", 0.0): 1.125,  # [1.54; 1.55; 2.00; 1.99 while the zero vector came first]
+    ("grad_total", 0.1): 1.22,   # [1.625; 2.02; 2.97; 2.46 with a pass per branch]
     ("fine_tune", 0.0): 1.30,    # [1.29 with memoised compact layouts; 2.17; 3.16]
-    ("fine_tune", 0.1): 2.47,    # [2.46 likewise; 2.55; 3.53; 2.98 with a pass per branch]
+    ("fine_tune", 0.1): 2.44,    # [2.47; 2.46 likewise; 2.55; 3.53; 2.98 with a pass per branch]
 }
 
 

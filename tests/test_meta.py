@@ -545,6 +545,38 @@ def test_sgd_mode_is_plain_descent(setup):
     assert np.all(new.m == 0.0) and np.all(new.v == 0.0)
 
 
+def expression_update(state, g):
+    """(psi, m, v) after one step, as the chained expressions of the Adam and
+    SGD updates compute them, with a fresh array for every operation."""
+    cfg, t = state.cfg, state.step_count + 1
+    if cfg.meta_optimizer == "sgd":
+        return state.psi.flat - cfg.meta_lr * g, state.m.copy(), state.v.copy()
+    m = meta.ADAM_BETA1 * state.m + (1.0 - meta.ADAM_BETA1) * g
+    v = meta.ADAM_BETA2 * state.v + (1.0 - meta.ADAM_BETA2) * g ** 2
+    m_hat = m / (1.0 - meta.ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - meta.ADAM_BETA2 ** t)
+    return state.psi.flat - cfg.meta_lr * m_hat / (np.sqrt(v_hat) + meta.ADAM_EPS), m, v
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_apply_update_keeps_the_expression_bits(setup, optimizer):
+    """The update writes into its outputs and one temporary, operation by
+    operation: over three steps psi, m and v are bitwise the chained
+    expression's, and the input state and gradient are left as they were."""
+    _, psi, _, rng = setup
+    state = MetaState.create(psi, MetaConfig(meta_lr=0.05, meta_optimizer=optimizer))
+    for _ in range(3):
+        g = rng.normal(size=psi.layout().size) * 10.0 ** rng.integers(-8, 3, psi.layout().size)
+        before = [arr.copy() for arr in (state.psi.flat, state.m, state.v, g)]
+        want = expression_update(state, g)
+        new = _apply_update(state, g)
+        for got, expected in zip((new.psi.flat, new.m, new.v), want):
+            assert got.tobytes() == expected.tobytes()
+        for arr, old in zip((state.psi.flat, state.m, state.v, g), before):
+            assert arr.tobytes() == old.tobytes()
+        state = new
+
+
 def test_apply_update_rejects_nonfinite(setup):
     _, psi, _, _ = setup
     state = MetaState.create(psi, sgd_config())

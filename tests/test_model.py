@@ -19,12 +19,16 @@ from metatext.model import (
     ModelParams,
     aux_loss,
     encode,
+    grad_primary,
+    grad_total,
     load_params,
     mask_tokens,
     primary_loss,
     save_params,
     total_loss,
 )
+
+from metatext.meta import MetaConfig, fine_tune
 
 from conftest import random_episode
 
@@ -84,9 +88,12 @@ def test_encode_matches_reference(seed, small_model_cfg):
 def test_encode_ignores_pad_positions(small_model_cfg):
     rng = np.random.default_rng(1)
     params = small_model_cfg.init_params(rng)
-    _, rep_plain = encode(params, np.array([3, 4]))
-    _, rep_padded = encode(params, np.array([3, 4, PAD_ID, PAD_ID]))
+    hiddens_plain, rep_plain = encode(params, np.array([3, 4]))
+    hiddens, rep_padded = encode(params, np.array([3, 4, PAD_ID, PAD_ID]))
     np.testing.assert_allclose(rep_padded, rep_plain, atol=1e-15)
+    # One hidden state per position, PAD positions included.
+    assert hiddens.shape == (4, small_model_cfg.d_h)
+    np.testing.assert_allclose(hiddens[:2], hiddens_plain, atol=1e-15)
 
 
 def test_encode_rejects_empty(small_model_cfg):
@@ -95,6 +102,29 @@ def test_encode_rejects_empty(small_model_cfg):
         encode(params, np.array([], dtype=np.int64))
     with pytest.raises(EncodingError):
         encode(params, np.array([PAD_ID, PAD_ID]))
+
+
+@pytest.mark.parametrize("bad_id", [-1, 12])
+def test_token_ids_outside_the_vocabulary_raise(small_model_cfg, bad_id):
+    """An id outside 0..vocab_size - 1 raises ValueError naming the sequence
+    and the id, before any pass reads E with it (E[-1] would read the last
+    row): in a classified batch, in a masked batch stacked under one, in the
+    sequence encode reads and in a descent's support set."""
+    params = small_model_cfg.init_params(np.random.default_rng(2))
+    seqs = [np.array([3, 4, 5]), np.array([6, bad_id, PAD_ID]), np.array([7])]
+    pairs = [(seq, 0) for seq in seqs]
+    good = [(np.array([3, 4]), 0), (np.array([5]), 1), (np.array([6, 7]), 2)]
+    masked = MaskedBatch(sequences=seqs, targets=[(0, 1, 4)])
+    cfg = MetaConfig(inner_lr=0.1, aux_weight=0.3)
+    for op in (lambda: primary_loss(params, pairs), lambda: grad_primary(params, pairs),
+               lambda: total_loss(params, good, masked, 0.3),
+               lambda: grad_total(params, good, masked, 0.3),
+               lambda: fine_tune(params, pairs, 2, True, cfg, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match=f"^sequence 1 holds token id {bad_id}, "
+                                             "outside 0..11$"):
+            op()
+    with pytest.raises(ValueError, match=f"holds token id {bad_id}, outside 0..11$"):
+        encode(params, seqs[1])
 
 
 # ---------------------------------------------------------------------------
