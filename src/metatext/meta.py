@@ -164,7 +164,8 @@ class _WorkingSet:
         """The working set of a descent from psi on batch, plus masked when
         the masked-token branch runs (None otherwise), with both batches
         renumbered onto its rows; the targets keep their vocabulary ids, which
-        P's full rows score."""
+        P's full rows score. An empty support sequence or an id outside psi's
+        vocabulary raises, naming the sequence."""
         _check_rows(batch.tokens, batch.mask, psi.vocab_size, len(batch.tokens))
         present = np.zeros(psi.vocab_size, dtype=bool)
         present[PAD_ID] = True

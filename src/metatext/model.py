@@ -370,7 +370,9 @@ class _Plan:
     e_shape: tuple        # the shape of the E it indexes
     n_way: int            # the classifier width the labels were checked against
     stacked: MaskedBatch | None
-    tokens: np.ndarray    # (R + N,) the id at each read position, then at the masked rows' N
+    # (R + N,) the id at each read position, then at the N non-PAD positions
+    # of the masked rows.
+    tokens: np.ndarray
     rows: np.ndarray      # (R,) the row each read position lies in
     ctx_pool: np.ndarray  # (B, R + N) 1 / row length where a column's position lies in the row
     pool: np.ndarray      # (split, n_c) ctx_pool's classified block, which rep reads too

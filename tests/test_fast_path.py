@@ -841,7 +841,8 @@ def test_stacked_pass_encodes_only_its_read_positions():
     padded = sum(len(s) for s, _ in pairs) + sum(len(s) for s in masked.sequences)
     plan, fw, _, aux = model._pass(params, PackedBatch.pack(pairs), masked)
     assert plan.n_c == n_c and aux[0].shape == (masked.num_targets, cfg.d_h)
-    assert fw.hidden.shape == (n_c + masked.num_targets, cfg.d_h) and n_c + masked.num_targets < padded
+    assert fw.hidden.shape == (n_c + masked.num_targets, cfg.d_h)
+    assert n_c + masked.num_targets < padded
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
