@@ -164,9 +164,11 @@ class _WorkingSet:
         """The working set of a descent from psi on batch, plus masked when
         the masked-token branch runs (None otherwise), with both batches
         renumbered onto its rows; the targets keep their vocabulary ids, which
-        P's full rows score. An empty support sequence or an id outside psi's
-        vocabulary raises, naming the sequence."""
-        _check_rows(batch.tokens, batch.mask, psi.vocab_size, len(batch.tokens))
+        P's full rows score. An id outside psi's vocabulary raises, naming
+        the sequence, before the renumbering could hide it; the plans of the
+        renumbered batches check their rows as any plan does."""
+        if batch.tokens.min() < 0 or batch.tokens.max() >= psi.vocab_size:
+            _check_rows(batch.tokens, batch.mask, psi.vocab_size, len(batch.tokens))
         present = np.zeros(psi.vocab_size, dtype=bool)
         present[PAD_ID] = True
         present[batch.tokens] = True

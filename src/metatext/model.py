@@ -351,6 +351,53 @@ def _check_rows(tokens: np.ndarray, mask: np.ndarray, e_rows: int, split: int) -
     return counts
 
 
+_BLOCK_ROWS = 32  # the most rows a dense pooling matrix spans
+
+
+class _BlockRows:
+    """A matrix zero off its (row slice, column slice, dense block) blocks;
+    @, .T and np.matmul into a buffer act as on the dense matrix."""
+
+    def __init__(self, blocks: list, shape: tuple):
+        self.blocks, self.shape = blocks, shape
+
+    @property
+    def T(self) -> _BlockRows:
+        return _BlockRows([(cols, rows, m.T) for rows, cols, m in self.blocks], self.shape[::-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.shape[0], x.shape[1]))
+        for rows, cols, m in self.blocks:
+            out[rows] += m @ x[cols]
+        return out
+
+    def __array_ufunc__(self, ufunc, method, a, x, out):  # np.matmul(self, x, out=(o,))
+        out[0][...] = self @ x
+        return out[0]
+
+
+def _pooling(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The matrix of this shape holding values at (rows, cols): dense up to
+    _BLOCK_ROWS rows, else a _BlockRows of blocks of that many rows, each as
+    wide as its entries' columns span, so that it grows with the batch, not
+    with its square."""
+    if shape[0] <= _BLOCK_ROWS:
+        dense = np.zeros(shape)
+        dense[rows, cols] = values
+        return dense
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    blocks = []
+    for r0 in range(0, shape[0], _BLOCK_ROWS):
+        at = slice(*np.searchsorted(rows, [r0, r0 + _BLOCK_ROWS]))
+        if at.start < at.stop:
+            c0 = cols[at].min()
+            block = np.zeros((min(_BLOCK_ROWS, shape[0] - r0), cols[at].max() + 1 - c0))
+            block[rows[at] - r0, cols[at] - c0] = values[at]
+            blocks.append((slice(r0, r0 + _BLOCK_ROWS), slice(c0, c0 + block.shape[1]), block))
+    return _BlockRows(blocks, shape)
+
+
 @dataclass(eq=False, slots=True)
 class _Plan:
     """Everything derived from one batch of B rows, for one shape of E and
@@ -361,11 +408,12 @@ class _Plan:
     under it, if any, in stacked.
 
     A pass encodes only its R read positions: the non-PAD positions of the
-    classified rows, row by row, then the masked-token targets in order. The
-    masked rows' non-PAD positions follow them in tokens, as the rows'
-    context means read every non-PAD position: ctx = ctx_pool @ E[tokens].
-    No shape here depends on E's row count, so a pass on a descent's compact
-    layout sums what it sums on the full one, in the same order."""
+    classified rows, row by row, then the masked-token targets in order.
+    The masked rows' non-PAD positions follow them in tokens, as the
+    rows' context means read every non-PAD position: ctx = ctx_pool @
+    E[tokens]. The pooling matrices are _pooling's, dense up to _BLOCK_ROWS
+    rows. No shape here depends on E's row count, so a pass on a descent's
+    compact layout sums what it sums on the full one, in the same order."""
 
     e_shape: tuple        # the shape of the E it indexes
     n_way: int            # the classifier width the labels were checked against
@@ -374,9 +422,9 @@ class _Plan:
     # of the masked rows.
     tokens: np.ndarray
     rows: np.ndarray      # (R,) the row each read position lies in
-    ctx_pool: np.ndarray  # (B, R + N) 1 / row length where a column's position lies in the row
-    pool: np.ndarray      # (split, n_c) ctx_pool's classified block, which rep reads too
-    row_sum: np.ndarray   # (B, R) 1.0 where the read position lies in the row
+    ctx_pool: np.ndarray | _BlockRows  # (B, R + N) 1 / row length where a column lies in the row
+    pool: np.ndarray | _BlockRows      # (split, n_c) its classified block, which rep reads too
+    row_sum: np.ndarray | _BlockRows   # (B, R) 1.0 where a read position lies in the row
     # ((R + N) * d_emb,) id * d_emb + column for each of tokens and each
     # column: the embedding scatter's index into flat E.
     index: np.ndarray
@@ -410,12 +458,15 @@ class _Plan:
         # positions, then the masked rows' positions past the targets.
         columns = np.arange(row_of.size)
         columns[n_c:] += len(targets)
-        ctx_pool = np.zeros((len(tokens), read.size))
-        ctx_pool[row_of, columns] = 1.0 / counts[row_of]
-        row_sum = np.zeros((len(tokens), n_read))
-        row_sum[rows, np.arange(n_read)] = 1.0
+        weights = 1.0 / counts[row_of]
+        ctx_pool = _pooling((len(tokens), read.size), row_of, columns, weights)
+        # A dense ctx_pool's corner is pool, as a view.
+        pool = (ctx_pool[:split, :n_c] if isinstance(ctx_pool, np.ndarray)
+                else _pooling((split, n_c), row_of[:n_c], columns[:n_c], weights[:n_c]))
         return cls(e_shape=params.E.shape, n_way=params.n_way, stacked=stacked, tokens=read,
-                   rows=rows, ctx_pool=ctx_pool, pool=ctx_pool[:split, :n_c], row_sum=row_sum,
+                   rows=rows, ctx_pool=ctx_pool, pool=pool,
+                   row_sum=_pooling((len(tokens), n_read), rows, np.arange(n_read),
+                                    np.ones(n_read)),
                    index=(read[:, None] * d_emb + np.arange(d_emb)).ravel(),
                    labels=targets[:, 2])
 

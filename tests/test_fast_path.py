@@ -425,15 +425,6 @@ def slow_layout(fw, tokens, at):
                            hidden=spread(fw.hidden, tokens, at))
 
 
-def pre_terms(params, fw):
-    """The magnitudes of the terms each pre-activation of a slow pass sums:
-    |emb| |W_tok|^T + |ctx| |W_ctx|^T + |b1|, per (row, position)."""
-    d_emb = params.d_emb
-    w1 = np.abs(params.W1)
-    return (np.abs(fw.emb) @ w1[:, :d_emb].T + (np.abs(fw.ctx) @ w1[:, d_emb:].T)[:, None, :]
-            + np.abs(params.b1))
-
-
 def slow_softmax_xent(logits, labels):
     """_softmax_xent's earlier form, with a fresh array for every operation:
     log-probabilities from the log of the row sums of one exponential, the
@@ -559,9 +550,8 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     exponential: emb at the read positions is bitwise the forms that allocate
     one array per operation and take two exponentials, and ctx, hidden at
     the read positions, rep, the softmax's loss and gradient and the
-    masked-token pass built on them agree to 1e-12 (hidden states and rep
-    relative to the pre-activations' terms, the softmax's to the terms it
-    sums: the log row sums and picked logits, and 1/n)."""
+    masked-token pass built on them agree to 1e-12 (the softmax's relative
+    to the terms it sums: the log row sums and picked logits, and 1/n)."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = random_pairs(rng, cfg, size)
@@ -570,11 +560,11 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
                                vocab_size=cfg.vocab_size)
     _, got = fast_forward(params, packed.tokens, packed.mask)
     want = slow_forward(params, packed.tokens, packed.mask)
-    at, terms = read_positions(packed.tokens, size), pre_terms(params, want)
+    at = read_positions(packed.tokens, size)
     assert same_bits(got.emb, want.emb[at])
     assert close(got.ctx, want.ctx, want.emb)
-    assert close(got.hidden, want.hidden[at], terms[at])
-    assert close(got.rep, want.rep, terms)
+    assert close(got.hidden, want.hidden[at])
+    assert close(got.rep, want.rep, want.hidden)
     logits = want.rep @ params.C.T + params.c0
     got_loss, got_d = model._softmax_xent(logits, packed.labels)
     want_loss, want_d = slow_softmax_xent(logits, packed.labels)
@@ -585,9 +575,8 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     assert close(got_d, want_d, np.full(want_d.shape, 1.0 / size))
     _, got_fw, _, got_aux = model._pass(params, None, masked)
     want_fw, *want_aux = slow_aux_pass(params, masked)
-    at = read_positions(want_fw.tokens, 0, masked.targets)
     assert got_aux[0].shape == got_fw.hidden.shape == want_aux[0].shape
-    assert close(got_aux[0], want_aux[0], pre_terms(params, want_fw)[at])
+    assert close(got_aux[0], want_aux[0], want_fw.hidden)
     assert close(got_aux[1], want_aux[1]) and close(got_aux[2], want_aux[2])
 
 
@@ -786,17 +775,19 @@ def test_stacked_pass_matches_per_branch_assembly(cfg, seed, size, aux_weight, m
 
 
 @SETTINGS
-@given(cfg=small_vocab_configs, seed=seeds, size=st.integers(1, 6),
+@given(cfg=small_vocab_configs, seed=seeds, size=st.one_of(st.integers(1, 6), st.just(40)),
        aux_weight=st.sampled_from([0.0, 0.3, 1.0]), pads=st.integers(0, 12),
-       repeat=st.booleans(), drop_targets=st.booleans())
+       repeat=st.booleans(), drop_targets=st.booleans(), reverse=st.booleans())
 def test_read_positions_match_slow_forms(cfg, seed, size, aux_weight, pads, repeat,
-                                         drop_targets):
+                                         drop_targets, reverse):
     """Over the stacked rows of the branches aux_weight runs (at 1.0 no row
     is classified), ctx, the hidden states at the read positions, rep, the
     target hidden states and (dE, dW1, db1) match the slow forms over the
     same padded rows. Rows may be PAD-heavy (up to 12 PADs among and after
-    the tokens) or repeat a token, and the first masked sequence may hold no
-    target."""
+    the tokens) or repeat a token, the first masked sequence may hold no
+    target, the targets may come in reverse order, and 40 sequences (80
+    stacked rows) take the pooling matrices past model._BLOCK_ROWS rows, to
+    blocks of rows."""
     rng = np.random.default_rng(seed)
     params = cfg.init_params(rng)
     pairs = []
@@ -807,6 +798,8 @@ def test_read_positions_match_slow_forms(cfg, seed, size, aux_weight, pads, repe
     if drop_targets:
         masked = MaskedBatch(sequences=masked.sequences,
                              targets=[t for t in masked.targets if t[0] != 0])
+    if reverse:
+        masked = MaskedBatch(sequences=masked.sequences, targets=masked.targets[::-1])
     packed, masked = model._branches(pairs, masked, aux_weight)
     plan, fw, _, aux = model._pass(params, packed, masked)
     split = 0 if packed is None else size
@@ -816,14 +809,12 @@ def test_read_positions_match_slow_forms(cfg, seed, size, aux_weight, pads, repe
     tokens = slow_padded(rows)[0]
     at = read_positions(tokens, split, rows.targets)
     want = slow_forward(params, tokens, tokens != PAD_ID)
-    terms = pre_terms(params, want)
     assert same_bits(fw.emb, want.emb[at])
     assert close(fw.ctx, want.ctx, want.emb)
-    assert close(fw.hidden, want.hidden[at], terms[at])
-    assert close(fw.rep, want.rep[:split], terms)
+    assert close(fw.hidden, want.hidden[at])
+    assert close(fw.rep, want.rep[:split], want.hidden)
     if aux is not None:
-        targets = tuple(axis[plan.n_c:] for axis in at)
-        assert close(aux[0], want.hidden[targets], terms[targets])
+        assert close(aux[0], want.hidden[tuple(axis[plan.n_c:] for axis in at)], want.hidden)
     d_hidden = rng.normal(size=fw.hidden.shape)
     assert backprop_matches(fast_backprop(params, plan, fw, d_hidden), params, fw, d_hidden,
                             tokens, at)
@@ -843,6 +834,46 @@ def test_stacked_pass_encodes_only_its_read_positions():
     assert plan.n_c == n_c and aux[0].shape == (masked.num_targets, cfg.d_h)
     assert fw.hidden.shape == (n_c + masked.num_targets, cfg.d_h)
     assert n_c + masked.num_targets < padded
+
+
+def test_pooling_blocks_match_the_dense_matrix():
+    """Past model._BLOCK_ROWS rows, _pooling keeps the matrix as blocks of
+    rows, its entries given in any order; @, .T @ and np.matmul into a
+    buffer match the dense matrix's products to 1e-12 of the terms they
+    sum."""
+    rng = np.random.default_rng(3)
+    shape = (2 * model._BLOCK_ROWS + 5, 90)
+    rows, cols = np.divmod(rng.choice(shape[0] * shape[1], size=150, replace=False), shape[1])
+    values = rng.normal(size=rows.size)
+    dense = np.zeros(shape)
+    dense[rows, cols] = values
+    blocks = model._pooling(shape, rows, cols, values)
+    x, y = rng.normal(size=(shape[1], 4)), rng.normal(size=(shape[0], 3))
+    assert isinstance(blocks, model._BlockRows) and len(blocks.blocks) == 3
+    assert close(blocks @ x, dense @ x, np.abs(dense) @ np.abs(x))
+    assert close(blocks.T @ y, dense.T @ y, np.abs(dense.T) @ np.abs(y))
+    out = np.empty((shape[1], 3))
+    assert np.matmul(blocks.T, y, out=out) is out
+    assert same_bits(out, blocks.T @ y)
+
+
+def test_plan_grows_linearly_with_the_batch():
+    """A plan's pooling matrices hold blocks of model._BLOCK_ROWS rows, each
+    as wide as its rows' positions: four times the rows of the same length
+    make about four times the entries, where dense (rows x positions)
+    matrices would make sixteen."""
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    params = cfg.init_params(np.random.default_rng(0))
+
+    def entries(n):
+        rng = np.random.default_rng(1)
+        pairs = [(rng.integers(FIRST_REAL_ID, cfg.vocab_size, size=8), i % 3) for i in range(n)]
+        masked = MaskedBatch.build([s for s, _ in pairs], rng, vocab_size=cfg.vocab_size)
+        plan = model._pass(params, PackedBatch.pack(pairs), masked)[0]
+        return sum(block.size for pooling in (plan.ctx_pool, plan.pool, plan.row_sum)
+                   for _, _, block in pooling.blocks)
+
+    assert entries(256) < 4.5 * entries(64)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -89,6 +89,21 @@ def test_total_gradient_matches_finite_differences(seed, weight):
     assert max_rel_err(g, fd) < FD_TOL
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+def test_total_gradient_over_pooling_blocks_matches_finite_differences(weight):
+    """40 sequences, 80 rows once stacked on their masked copies: past
+    model._BLOCK_ROWS rows the plan's pooling matrices are blocks of rows."""
+    rng = np.random.default_rng(7)
+    params = GRAD_CFG.init_params(rng)
+    batch = [(rng.integers(3, GRAD_CFG.vocab_size, size=int(rng.integers(2, 7))),
+              int(rng.integers(GRAD_CFG.n_way))) for _ in range(40)]
+    masked = MaskedBatch.build([s for s, _ in batch], rng, mask_prob=0.5,
+                               vocab_size=GRAD_CFG.vocab_size)
+    g = grad_total(params, batch, masked, weight)
+    fd = central_diff(lambda p: total_loss(p, batch, masked, weight), params)
+    assert max_rel_err(g, fd) < FD_TOL
+
+
 @settings(max_examples=30, deadline=None)
 @given(vocab_size=st.integers(FIRST_REAL_ID + 1, 10),
        widths=st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda w: w[0] != w[1]),

@@ -127,6 +127,18 @@ def test_token_ids_outside_the_vocabulary_raise(small_model_cfg, bad_id):
         encode(params, seqs[1])
 
 
+@pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
+def test_descent_names_an_empty_support_sequence(small_model_cfg, aux_weight):
+    """A descent checks its support ids before renumbering them and leaves
+    the rest to the plans of the renumbered batches: an empty support
+    sequence raises EncodingError naming it, whichever branches run."""
+    params = small_model_cfg.init_params(np.random.default_rng(2))
+    pairs = [(np.array([3, 4]), 0), (np.array([PAD_ID, PAD_ID]), 1), (np.array([5]), 2)]
+    cfg = MetaConfig(inner_lr=0.1, aux_weight=aux_weight)
+    with pytest.raises(EncodingError, match="^sequence 1 is empty after PAD removal$"):
+        fine_tune(params, pairs, 1, True, cfg, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # primary loss
 
