@@ -22,9 +22,11 @@ One routine, _descend, runs the support-set descent of both the inner loop
 (inner_adapt) and test-time fine-tuning (fine_tune): it reads the rate and the
 masking settings from a MetaConfig and draws the mask once, only when the
 masked-token term is on. It descends on the entries of psi the support set
-reaches (its _WorkingSet) and writes them back into one copy of psi at the
-end; every other entry has a zero gradient on every step, so the result is
-bitwise that of a descent on all of psi.
+reaches (its _WorkingSet), which the batches' plan gives: built once at psi,
+it checks the batches and re-keys itself onto the E rows it reads. The
+result is written back into one copy of psi at the end; every other entry
+has a zero gradient on every step, so it is bitwise that of a descent on all
+of psi.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    PAD_ID,
     ConfigError,
     MaskedBatch,
     ModelParams,
@@ -43,7 +44,7 @@ from .model import (
     ParamLayout,
     _branches,
     _check_finite,
-    _check_rows,
+    _plan_of,
     check_fields,
     check_masking,
     grad_primary,
@@ -148,42 +149,15 @@ class MetaState:
 @dataclass(eq=False, slots=True)
 class _WorkingSet:
     """The entries of a full parameter layout that one descent reads and
-    moves, as a compact layout of their own: the E rows in rows (ascending,
-    PAD's always among them so that it keeps id 0), then W1, b1, C and c0,
-    then P and p0 when the masked-token branch runs (else the compact layout
-    gives them no rows). Everything after E is one contiguous run in both
-    layouts, starting at W1."""
+    moves, as a compact layout of their own: the E rows in rows (ascending:
+    PAD's and those of the ids the descent's plan reads), then W1, b1, C and
+    c0, then P and p0 when the masked-token branch runs (else the compact
+    layout gives them no rows). Everything after E is one contiguous run in
+    both layouts, starting at W1."""
 
     rows: np.ndarray
     full: ParamLayout
     compact: ParamLayout
-
-    @classmethod
-    def build(cls, psi: ModelParams, batch: PackedBatch, masked: MaskedBatch | None
-              ) -> tuple[_WorkingSet, PackedBatch, MaskedBatch | None]:
-        """The working set of a descent from psi on batch, plus masked when
-        the masked-token branch runs (None otherwise), with both batches
-        renumbered onto its rows; the targets keep their vocabulary ids, which
-        P's full rows score. An id outside psi's vocabulary raises, naming
-        the sequence, before the renumbering could hide it; the plans of the
-        renumbered batches check their rows as any plan does."""
-        if batch.tokens.min() < 0 or batch.tokens.max() >= psi.vocab_size:
-            _check_rows(batch.tokens, batch.mask, psi.vocab_size, len(batch.tokens))
-        present = np.zeros(psi.vocab_size, dtype=bool)
-        present[PAD_ID] = True
-        present[batch.tokens] = True
-        if masked is not None:
-            for seq in masked.sequences:
-                present[seq] = True
-        rows = np.flatnonzero(present)
-        renumber = np.cumsum(present) - 1
-        compact = ParamLayout.build(rows.size, psi.d_emb, psi.d_h, psi.n_way,
-                                    0 if masked is None else psi.P.shape[0])
-        batch = PackedBatch(renumber[batch.tokens], batch.mask, batch.labels)
-        if masked is not None:
-            masked = MaskedBatch(sequences=[renumber[seq] for seq in masked.sequences],
-                                 targets=masked.targets)
-        return cls(rows=rows, full=psi.layout(), compact=compact), batch, masked
 
     def _tails(self) -> tuple[slice, slice]:
         """The run after E, in the full layout and in the compact one."""
@@ -253,14 +227,17 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
     """Gradient descent from psi on the total loss over a support set at
     cfg.inner_lr, with the mask (drawn here under cfg's settings and psi's
     full vocabulary when aux_weight > 0, unless passed in) fixed across
-    steps. The steps run on the working set, gathered and renumbered once,
-    and the result is scattered into one copy of psi."""
+    steps. The steps run on the working set, gathered once, and the result
+    is scattered into one copy of psi."""
     if aux_weight > 0.0 and masked is None:
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
-    batch = PackedBatch.pack(support)
-    _, aux = _branches(batch, masked, aux_weight)
-    work, batch, aux = _WorkingSet.build(psi, batch, aux)
+    batch, aux = _branches(support, masked, aux_weight)
+    # The plan of the branches' batches, built and checked once at psi, then
+    # re-keyed onto the E rows it reads, for every step's pass on them.
+    rows = _plan_of(psi, batch, aux).rekey()
+    work = _WorkingSet(rows, psi.layout(), ParamLayout.build(
+        rows.size, psi.d_emb, psi.d_h, psi.n_way, 0 if aux is None else psi.P.shape[0]))
     params = work.gather(psi)
     first = None
     trace = []
@@ -277,9 +254,10 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
         if first is None:
             first = g
         params = ModelParams.from_flat(np.subtract(params.flat, step, out=step), work.compact)
-    # The batches' plans hold the last step's pass and start point; they go
-    # before the copy of psi is made.
-    del batch, aux
+    # The plan holds the last step's pass and start point; it goes before the
+    # copy of psi is made, from its batch, which may outlive the descent (the
+    # result keeps the masked batch).
+    (aux if batch is None else batch).plan = None
     theta = ModelParams.from_flat(work.scatter(params.flat, psi.flat.copy()), psi.layout())
     return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta, work=work, first_step=first,
                        loss_trace=trace, masked=masked)

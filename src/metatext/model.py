@@ -337,26 +337,15 @@ def _random_replacement(orig: int, vocab_size: int, rng: np.random.Generator) ->
 # forward pass
 
 
-def _check_rows(tokens: np.ndarray, mask: np.ndarray, e_rows: int, split: int) -> np.ndarray:
-    """The non-PAD count of each padded row; an empty row or an id outside
-    0..e_rows - 1 raises, naming the sequence (the rows from split on
-    numbered from 0 again)."""
-    counts = mask.sum(axis=1)
-    if not counts.all() or tokens.min() < 0 or tokens.max() >= e_rows:
-        row, pos = np.argwhere((counts == 0)[:, None] | (tokens < 0) | (tokens >= e_rows))[0]
-        name = f"sequence {row if row < split else row - split}"
-        if counts[row] == 0:
-            raise EncodingError(f"{name} is empty after PAD removal")
-        raise ValueError(f"{name} holds token id {tokens[row, pos]}, outside 0..{e_rows - 1}")
-    return counts
-
-
 _BLOCK_ROWS = 32  # the most rows a dense pooling matrix spans
 
 
 class _BlockRows:
     """A matrix zero off its (row slice, column slice, dense block) blocks;
-    @, .T and np.matmul into a buffer act as on the dense matrix."""
+    @ and .T act as on the dense matrix, and a ufunc handed one (np.matmul
+    and np.add among them) raises TypeError."""
+
+    __array_ufunc__ = None
 
     def __init__(self, blocks: list, shape: tuple):
         self.blocks, self.shape = blocks, shape
@@ -370,10 +359,6 @@ class _BlockRows:
         for rows, cols, m in self.blocks:
             out[rows] += m @ x[cols]
         return out
-
-    def __array_ufunc__(self, ufunc, method, a, x, out):  # np.matmul(self, x, out=(o,))
-        out[0][...] = self @ x
-        return out[0]
 
 
 def _pooling(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
@@ -405,7 +390,8 @@ class _Plan:
     so every pass over it reads the plan, and the plan keeps the batch's last
     pass. The first split rows are a PackedBatch's and the rest a
     MaskedBatch's; a plan kept by a PackedBatch holds the MaskedBatch stacked
-    under it, if any, in stacked.
+    under it, if any, in stacked. The plan is the one reader of the batch's
+    tokens: a descent re-keys it onto the E rows it reads (see rekey).
 
     A pass encodes only its R read positions: the non-PAD positions of the
     classified rows, row by row, then the masked-token targets in order.
@@ -439,14 +425,21 @@ class _Plan:
         return self.pool.shape[1]
 
     @classmethod
-    def build(cls, tokens: np.ndarray, mask: np.ndarray, params: ModelParams, split: int,
+    def build(cls, tokens: np.ndarray, params: ModelParams, split: int,
               stacked: MaskedBatch | None = None, targets=()) -> _Plan:
-        """The plan of padded (B, L) tokens whose first split rows are
+        """The plan of PAD-padded (B, L) tokens whose first split rows are
         classified, with the (sequence index, position, original id) targets
         of the rows after them; an empty row or an id outside E's rows raises,
-        naming the sequence."""
-        counts = _check_rows(tokens, mask, params.E.shape[0], split)
-        d_emb = params.d_emb
+        naming the sequence (the rows from split on numbered from 0 again)."""
+        mask = tokens != PAD_ID
+        counts = mask.sum(axis=1)
+        e_rows, d_emb = params.E.shape
+        if not counts.all() or tokens.min() < 0 or tokens.max() >= e_rows:
+            row, pos = np.argwhere((counts == 0)[:, None] | (tokens < 0) | (tokens >= e_rows))[0]
+            name = f"sequence {row if row < split else row - split}"
+            if counts[row] == 0:
+                raise EncodingError(f"{name} is empty after PAD removal")
+            raise ValueError(f"{name} holds token id {tokens[row, pos]}, outside 0..{e_rows - 1}")
         targets = np.array(targets, dtype=np.int64).reshape(-1, 3)
         row_of, _ = np.nonzero(mask)
         nonpad = tokens[mask]
@@ -470,6 +463,20 @@ class _Plan:
                    index=(read[:, None] * d_emb + np.arange(d_emb)).ravel(),
                    labels=targets[:, 2])
 
+    def rekey(self) -> np.ndarray:
+        """The E rows the plan reads, ascending, PAD's among them: the plan is
+        re-keyed onto them, each id becoming its index among those rows, and
+        its last pass dropped, so that it serves params whose E holds only
+        those rows, in that order."""
+        present = np.zeros(self.e_shape[0], dtype=bool)
+        present[PAD_ID] = present[self.tokens] = True
+        rows = np.flatnonzero(present)
+        self.tokens = rows.searchsorted(self.tokens)
+        self.e_shape = (rows.size, self.e_shape[1])
+        self.index = (self.tokens[:, None] * self.e_shape[1] + np.arange(self.e_shape[1])).ravel()
+        self.memo = None
+        return rows
+
 
 @dataclass(slots=True)
 class _Forward:
@@ -481,8 +488,8 @@ class _Forward:
     rep: np.ndarray      # (split, d_h)
 
 
-def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """Pad variable-length sequences with PAD into a (B, L) int array plus mask."""
+def _pack(sequences) -> np.ndarray:
+    """Pad variable-length sequences with PAD into a (B, L) int array."""
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     if not seqs:
         raise ValueError("batch is empty")
@@ -490,19 +497,18 @@ def _pack(sequences) -> tuple[np.ndarray, np.ndarray]:
     tokens = np.full((len(seqs), max_len), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         tokens[i, : s.size] = s
-    return tokens, tokens != PAD_ID
+    return tokens
 
 
 @dataclass(eq=False, slots=True)
 class PackedBatch:
-    """(sequence, label) pairs padded once; the losses and gradients accept it
-    in place of the pairs, so a batch used for many steps is packed once.
-    plan is what a pass over it (with a masked batch stacked under it, or
-    none) derives from it, kept on first use (see _Plan), so a gradient taken
-    after its loss at the same params and masked batch reuses the pass."""
+    """(sequence, label) pairs padded with PAD once, which the losses and
+    gradients accept in place of the pairs. plan is what a pass over it (with
+    a masked batch stacked under it, or none) derives from the tokens, their
+    non-PAD positions included, kept on first use (see _Plan), so a gradient
+    taken after its loss at the same params and masked batch reuses the pass."""
 
-    tokens: np.ndarray   # (B, L) int
-    mask: np.ndarray     # (B, L) bool, False at PAD
+    tokens: np.ndarray   # (B, L) int, PAD-padded
     labels: np.ndarray   # (B,) int
     plan: _Plan | None = field(default=None, init=False, repr=False)
 
@@ -513,28 +519,39 @@ class PackedBatch:
             return batch
         seqs = [pair[0] for pair in batch]
         labels = np.asarray([pair[1] for pair in batch], dtype=np.int64)
-        return cls(*_pack(seqs), labels)
+        return cls(_pack(seqs), labels)
 
 
 def _plan_of(params: ModelParams, packed: PackedBatch | None,
              masked: MaskedBatch | None) -> _Plan:
     """The plan of packed's rows then masked's (either may be None), kept by
     packed (by masked when packed is None), built when it has none for
-    masked, the shape of the params' E and their classifier width; building
-    one for a PackedBatch checks that its labels fit the classifier."""
+    masked, the shape of the params' E and their classifier width. Building
+    one checks, besides the tokens, packed's labels against the classifier
+    and each of masked's targets: a sequence index in range, a position on
+    a non-PAD token of that row and an original id within P's rows (encode's
+    own targets also read PAD positions, so the check is here)."""
     holder, stacked = (masked, None) if packed is None else (packed, masked)
     plan = holder.plan
     if (plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape
             or plan.n_way != params.n_way):
         if packed is None:
-            tokens, mask, split = *_pack(masked.sequences), 0
+            tokens, split = _pack(masked.sequences), 0
         else:
             if np.any((packed.labels < 0) | (packed.labels >= params.n_way)):
                 raise ValueError(f"labels must lie in 0..{params.n_way - 1}")
             split = len(packed.tokens)
-            tokens, mask = ((packed.tokens, packed.mask) if masked is None
-                            else _pack([*packed.tokens, *masked.sequences]))
-        plan = holder.plan = _Plan.build(tokens, mask, params, split, stacked,
+            tokens = (packed.tokens if masked is None
+                      else _pack([*packed.tokens, *masked.sequences]))
+        n_seq, p_rows = len(tokens) - split, params.P.shape[0]
+        for s, p, o in () if masked is None else masked.targets:
+            if not 0 <= s < n_seq:
+                raise ValueError(f"a target names sequence {s}, outside 0..{n_seq - 1}")
+            if not 0 <= o < p_rows:
+                raise ValueError(f"sequence {s} holds token id {o}, outside 0..{p_rows - 1}")
+            if not 0 <= p < tokens.shape[1] or tokens[split + s, p] == PAD_ID:
+                raise ValueError(f"sequence {s} has no token at target position {p}")
+        plan = holder.plan = _Plan.build(tokens, params, split, stacked,
                                          () if masked is None else masked.targets)
     return plan
 
@@ -568,8 +585,7 @@ def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
     # The sequence classified, then again with every position a target, so
     # that the pass encodes each position.
     tokens = np.stack([seq, seq])
-    plan = _Plan.build(tokens, tokens != PAD_ID, params, 1, None,
-                       [(0, pos, 0) for pos in range(seq.size)])
+    plan = _Plan.build(tokens, params, 1, None, [(0, pos, 0) for pos in range(seq.size)])
     fw = _forward(params, plan)
     return fw.hidden[plan.n_c:], fw.rep[0]
 
@@ -744,7 +760,7 @@ def _gradient(params: ModelParams, packed: PackedBatch | None, masked: MaskedBat
         d_rep = primary[2] @ params.C                            # (split, Dh)
         if both:
             d_rep *= 1.0 - aux_weight
-        np.matmul(plan.pool.T, d_rep, out=d_hidden[:plan.n_c])
+        d_hidden[:plan.n_c] = plan.pool.T @ d_rep
     if aux is not None:
         d_h_tgt = np.matmul(aux[2], params.P, out=d_hidden[plan.n_c:])
         if both:

@@ -8,8 +8,9 @@ matmul contractions) against the slow forms over every padded position, the
 backward pass's scatters, the stacked pass of both branches against the
 per-branch assembly, the in-place gradient assembly, the finiteness check and
 the gate's views against the slow forms they replace, and the bytes one
-gradient or fine-tune step allocates, and what a fine-tune leaves alive."""
+gradient or fine-tune step allocates, and what a descent leaves alive."""
 
+import collections
 import gc
 import tracemalloc
 from dataclasses import replace
@@ -195,20 +196,32 @@ def test_plan_rejects_an_empty_sequence_on_first_use(aux_weight):
 
 
 def test_plan_is_built_once_per_batch(monkeypatch):
-    """A 20-step fine-tune derives its batch's plan once, with the
-    masked-token term and without it."""
+    """A descent walks its support set once: a 20-step fine-tune and a
+    20-step inner loop, without the masked-token term, with it and with it
+    alone, derive one plan, one PackedBatch (none when the masked-token
+    branch runs alone) and one MaskedBatch (the mask, when one is drawn),
+    and no renumbered copy of either batch."""
     rng = np.random.default_rng(4)
     cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
     psi = cfg.init_params(rng)
     support = random_pairs(rng, cfg, 5)
-    builds = []
+    episode = Episode(support=support, query=[], label_map=(0, 1, 2))
+    made = collections.Counter()
     build = model._Plan.build.__func__
     monkeypatch.setattr(model._Plan, "build",
-                        classmethod(lambda cls, *a: builds.append(1) or build(cls, *a)))
-    for aux_weight in (0.0, 0.3, 1.0):
-        builds.clear()
-        fine_tune(psi, support, 20, True, MetaConfig(inner_lr=0.3, aux_weight=aux_weight), rng)
-        assert len(builds) == 1, aux_weight
+                        classmethod(lambda cls, *a: made.update(["plan"]) or build(cls, *a)))
+    for cls in (PackedBatch, MaskedBatch):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, _name=cls.__name__,
+                            **kw: made.update([_name]) or _init(self, *a, **kw))
+    for aux_weight in (0.0, 0.1, 1.0):
+        meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=20, aux_weight=aux_weight)
+        for descend in (lambda: fine_tune(psi, support, 20, True, meta_cfg, rng),
+                        lambda: inner_adapt(psi, episode, meta_cfg, rng)):
+            made.clear()
+            descend()
+            assert made == collections.Counter(plan=1, PackedBatch=int(aux_weight < 1.0),
+                                               MaskedBatch=int(aux_weight > 0.0)), aux_weight
 
 
 @SETTINGS
@@ -302,8 +315,10 @@ def full_descent(psi, support, steps, aux_weight, cfg, rng):
 def test_descent_on_the_working_set_is_the_full_descent(cfg, seed, steps, aux_weight, strategy,
                                                          use_query):
     """inner_adapt descends on the working set (PAD's row and the rows of
-    the ids its batches hold, the dense blocks, and the predictor head only
-    when the masked-token branch runs) and scatters the result back: bitwise
+    the ids its plan reads: the support set's unless the masked-token branch
+    runs alone, and the masked sequences' when it runs; the dense blocks; and
+    the predictor head only when that branch runs) and scatters the result
+    back: bitwise
     the plain loop on all of psi, with the same loss trace, mask and draws
     from the RNG, and a first_grad that expands to the full first gradient.
     Sequences hold PAD, UNK and MASK ids, masks replace some targets with
@@ -328,8 +343,10 @@ def test_descent_on_the_working_set_is_the_full_descent(cfg, seed, steps, aux_we
     assert (res.masked is None and masked is None) or res.masked.targets == masked.targets
     assert rng_work.bit_generator.state == rng_full.bit_generator.state
 
-    ids = {PAD_ID} | {int(t) for seq, _ in ep.support for t in seq}
+    ids = {PAD_ID}
     aux_active = masked is not None and masked.num_targets > 0
+    if aux_weight < 1.0 or not aux_active:
+        ids |= {int(t) for seq, _ in ep.support for t in seq}
     if aux_active:
         ids |= {int(t) for seq in masked.sequences for t in seq}
     assert list(res.work.rows) == sorted(ids)
@@ -379,9 +396,10 @@ def test_step_functions_leave_psi_unchanged(seed, steps, aux_weight):
 # bitwise.
 
 
-def slow_forward(params, tokens, mask):
+def slow_forward(params, tokens):
     """_forward with a fresh array for every operation and the masked means
-    as sums over positions."""
+    as sums over the non-PAD positions."""
+    mask = tokens != PAD_ID
     counts = mask.sum(axis=1).astype(params.E.dtype)
     d_emb = params.d_emb
     emb = params.E[tokens]
@@ -393,10 +411,10 @@ def slow_forward(params, tokens, mask):
                            hidden=hidden, rep=rep)
 
 
-def fast_forward(params, tokens, mask):
+def fast_forward(params, tokens):
     """The plan of these padded tokens, every row classified, and
     model._forward over it."""
-    plan = model._Plan.build(tokens, mask, params, len(tokens))
+    plan = model._Plan.build(tokens, params, len(tokens))
     return plan, model._forward(params, plan)
 
 
@@ -456,7 +474,7 @@ def slow_aux_pass(params, masked):
     """The masked-token branch's (fw, target hidden states, loss, d loss/d
     logits) from the slow forms, over the masked batch alone."""
     tokens, (si, pos, orig) = slow_padded(masked)
-    fw = slow_forward(params, tokens, tokens != PAD_ID)
+    fw = slow_forward(params, tokens)
     h_tgt = fw.hidden[si, pos]
     return (fw, h_tgt, *slow_softmax_xent(h_tgt @ params.P.T + params.p0, orig))
 
@@ -558,8 +576,8 @@ def test_passes_match_allocating_forms(cfg, seed, size, mask_prob):
     packed = PackedBatch.pack(pairs)
     masked = MaskedBatch.build([s for s, _ in pairs], rng, mask_prob=mask_prob,
                                vocab_size=cfg.vocab_size)
-    _, got = fast_forward(params, packed.tokens, packed.mask)
-    want = slow_forward(params, packed.tokens, packed.mask)
+    _, got = fast_forward(params, packed.tokens)
+    want = slow_forward(params, packed.tokens)
     at = read_positions(packed.tokens, size)
     assert same_bits(got.emb, want.emb[at])
     assert close(got.ctx, want.ctx, want.emb)
@@ -596,7 +614,7 @@ def test_embedding_scatter_matches_add_at(cfg, seed, size, zero_w1):
         flat[params.layout().slices["W1"]] = -0.0
         params = ModelParams.from_flat(flat, params.layout())
     packed = PackedBatch.pack(random_pairs(rng, cfg, size))
-    plan, fw = fast_forward(params, packed.tokens, packed.mask)
+    plan, fw = fast_forward(params, packed.tokens)
     d_hidden = rng.normal(size=fw.hidden.shape)
     d_hidden[rng.random(d_hidden.shape) < 0.3] = -0.0
     assert backprop_matches(fast_backprop(params, plan, fw, d_hidden), params, fw, d_hidden,
@@ -700,7 +718,7 @@ def test_gradient_assembly_matches_scaled_copies(cfg, seed, size, branch):
 def primary_blocks(params, packed, fw, d_logits):
     """The classification branch's (dE, dW1, db1, dC, dc0) from the slow
     forms, on a pass over the packed batch and d loss/d logits."""
-    pool = packed.mask / fw.counts[:, None]
+    pool = fw.mask / fw.counts[:, None]
     d_hidden = (d_logits @ params.C)[:, None, :] * pool[..., None]
     return (*slow_backprop_encoder(params, packed.tokens, fw, d_hidden),
             d_logits.T @ fw.rep, d_logits.sum(axis=0))
@@ -717,14 +735,14 @@ def per_branch_total(params, pairs, masked, aux_weight):
     hidden state can cancel far below its terms, and the rounding of those
     terms reaches C and P through it."""
     packed = PackedBatch.pack(pairs)
-    fw = slow_forward(params, packed.tokens, packed.mask)
+    fw = slow_forward(params, packed.tokens)
     loss, d_logits = slow_softmax_xent(fw.rep @ params.C.T + params.c0, packed.labels)
     aux_pass = slow_aux_pass(params, masked)
     _, aux = slow_grad_aux_raw(params, masked, aux_pass)
     mag = ModelParams.from_flat(np.abs(params.flat), params.layout())
     mag_fw, mag_h_tgt = slow_aux_pass(mag, masked)[:2]
     _, aux_mag = slow_grad_aux_raw(mag, masked, (mag_fw, mag_h_tgt, None, np.abs(aux_pass[3])))
-    primary_mag = primary_blocks(mag, packed, slow_forward(mag, packed.tokens, packed.mask),
+    primary_mag = primary_blocks(mag, packed, slow_forward(mag, packed.tokens),
                                  np.abs(d_logits))
     layout = params.layout()
     grad, scale = np.zeros(layout.size), np.zeros(layout.size)
@@ -808,7 +826,7 @@ def test_read_positions_match_slow_forms(cfg, seed, size, aux_weight, pads, repe
                        targets=[] if masked is None else masked.targets)
     tokens = slow_padded(rows)[0]
     at = read_positions(tokens, split, rows.targets)
-    want = slow_forward(params, tokens, tokens != PAD_ID)
+    want = slow_forward(params, tokens)
     assert same_bits(fw.emb, want.emb[at])
     assert close(fw.ctx, want.ctx, want.emb)
     assert close(fw.hidden, want.hidden[at])
@@ -838,9 +856,10 @@ def test_stacked_pass_encodes_only_its_read_positions():
 
 def test_pooling_blocks_match_the_dense_matrix():
     """Past model._BLOCK_ROWS rows, _pooling keeps the matrix as blocks of
-    rows, its entries given in any order; @, .T @ and np.matmul into a
-    buffer match the dense matrix's products to 1e-12 of the terms they
-    sum."""
+    rows, its entries given in any order; @ and .T @ match the dense
+    matrix's products to 1e-12 of the terms they sum, and a ufunc handed the
+    blocks raises TypeError rather than return something else (np.add
+    returned the matrix product)."""
     rng = np.random.default_rng(3)
     shape = (2 * model._BLOCK_ROWS + 5, 90)
     rows, cols = np.divmod(rng.choice(shape[0] * shape[1], size=150, replace=False), shape[1])
@@ -852,9 +871,10 @@ def test_pooling_blocks_match_the_dense_matrix():
     assert isinstance(blocks, model._BlockRows) and len(blocks.blocks) == 3
     assert close(blocks @ x, dense @ x, np.abs(dense) @ np.abs(x))
     assert close(blocks.T @ y, dense.T @ y, np.abs(dense.T) @ np.abs(y))
-    out = np.empty((shape[1], 3))
-    assert np.matmul(blocks.T, y, out=out) is out
-    assert same_bits(out, blocks.T @ y)
+    for ufunc in (lambda: np.add(blocks, x, out=np.empty(x.shape)),
+                  lambda: np.matmul(blocks.T, y, out=np.empty((shape[1], 3)))):
+        with pytest.raises(TypeError):
+            ufunc()
 
 
 def test_plan_grows_linearly_with_the_batch():
@@ -1002,11 +1022,13 @@ def test_inner_step_allocation_peak(aux_weight):
         assert peak <= PEAK_BOUNDS[name, aux_weight], (name, aux_weight, peak)
 
 
-@pytest.mark.parametrize("aux_weight", [0.0, 0.1])
+@pytest.mark.parametrize("aux_weight", [0.0, 0.1, 1.0])
 def test_last_pass_is_freed_without_the_cyclic_gc(aux_weight):
-    """No reference cycle holds a descent's last pass: with the cyclic
-    collector off, a fine-tune leaves no forward pass alive once it returns,
-    so the peak bounds above hold without a collection."""
+    """No reference cycle holds a descent's last pass, and nothing a descent
+    returns does: with the cyclic collector off, neither a fine-tune nor an
+    inner loop whose result is still held (it keeps the masked batch, whose
+    plan the passes read at weight 1.0) leaves a forward pass alive, so the
+    peak bounds above hold without a collection."""
     rng = np.random.default_rng(0)
     cfg = ModelConfig(vocab_size=40, d_emb=4, d_h=3, n_way=5)
     psi = cfg.init_params(rng)
@@ -1021,7 +1043,10 @@ def test_last_pass_is_freed_without_the_cyclic_gc(aux_weight):
     try:
         before = passes()
         fine_tune(psi, pairs, 2, True, meta_cfg, rng)
+        res = inner_adapt(psi, Episode(support=pairs, query=[], label_map=tuple(range(5))),
+                          replace(meta_cfg, inner_steps=2), rng)
         alive = [fw for fw in passes() if not any(fw is old for old in before)]
     finally:
         gc.enable()
     assert alive == []
+    assert (res.masked is None) == (aux_weight == 0.0)

@@ -28,7 +28,8 @@ from metatext.model import (
     total_loss,
 )
 
-from metatext.meta import MetaConfig, fine_tune
+from metatext.episodes import Episode
+from metatext.meta import MetaConfig, fine_tune, inner_adapt
 
 from conftest import random_episode
 
@@ -129,14 +130,45 @@ def test_token_ids_outside_the_vocabulary_raise(small_model_cfg, bad_id):
 
 @pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
 def test_descent_names_an_empty_support_sequence(small_model_cfg, aux_weight):
-    """A descent checks its support ids before renumbering them and leaves
-    the rest to the plans of the renumbered batches: an empty support
-    sequence raises EncodingError naming it, whichever branches run."""
+    """A descent's plan, built once at psi, checks its batches: an empty
+    support sequence raises EncodingError naming it, whichever branches
+    run."""
     params = small_model_cfg.init_params(np.random.default_rng(2))
     pairs = [(np.array([3, 4]), 0), (np.array([PAD_ID, PAD_ID]), 1), (np.array([5]), 2)]
     cfg = MetaConfig(inner_lr=0.1, aux_weight=aux_weight)
     with pytest.raises(EncodingError, match="^sequence 1 is empty after PAD removal$"):
         fine_tune(params, pairs, 1, True, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("target, message", [
+    ((0, 0, -1), "sequence 0 holds token id -1, outside 0..11"),
+    ((0, 0, 12), "sequence 0 holds token id 12, outside 0..11"),
+    ((-1, 0, 4), "a target names sequence -1, outside 0..1"),
+    ((2, 0, 4), "a target names sequence 2, outside 0..1"),
+    ((0, -1, 4), "sequence 0 has no token at target position -1"),
+    ((0, 5, 4), "sequence 0 has no token at target position 5"),
+    ((1, 2, 4), "sequence 1 has no token at target position 2"),
+], ids=["id-1", "id12", "seq-1", "seq2", "pos-1", "pos5", "pad"])
+def test_masked_targets_are_checked(small_model_cfg, target, message):
+    """A hand-built MaskedBatch's (sequence index, position, original id)
+    targets are checked when its plan is built, stacked or alone: an index
+    outside the batch, a position off the row's tokens (PAD's included) or
+    an original id outside the vocabulary raises ValueError naming the
+    sequence. Before, -1 read the last row or position and a PAD position
+    was scored, and an index past its range raised a bare IndexError."""
+    params = small_model_cfg.init_params(np.random.default_rng(2))
+    seqs = [np.array([MASK_ID, 4, 5]), np.array([6, 7])]
+    pairs = [(seq, label) for label, seq in enumerate(seqs)]
+    episode = Episode(support=pairs, query=[], label_map=(0, 1, 2))
+    cfg = MetaConfig(inner_lr=0.1, aux_weight=0.3)
+    for op in (lambda masked: aux_loss(params, masked),
+               lambda masked: grad_total(params, pairs, masked, 0.3),
+               lambda masked: grad_total(params, pairs, masked, 1.0),
+               lambda masked: inner_adapt(params, episode, cfg, np.random.default_rng(0),
+                                          masked=masked)):
+        masked = MaskedBatch(sequences=seqs, targets=[(0, 0, 4), target])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            op(masked)
 
 
 # ---------------------------------------------------------------------------
