@@ -390,8 +390,8 @@ class _Plan:
     so every pass over it reads the plan, and the plan keeps the batch's last
     pass. The first split rows are a PackedBatch's and the rest a
     MaskedBatch's; a plan kept by a PackedBatch holds the MaskedBatch stacked
-    under it, if any, in stacked. The plan is the one reader of the batch's
-    tokens: a descent re-keys it onto the E rows it reads (see rekey).
+    under it, if any, in stacked. A descent reads its working set off the
+    plan and re-keys the plan onto those E rows (see rekey).
 
     A pass encodes only its R read positions: the non-PAD positions of the
     classified rows, row by row, then the masked-token targets in order.
