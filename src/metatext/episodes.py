@@ -78,6 +78,9 @@ class Corpus:
         return self._docs_by_class.get(class_id, np.empty(0, dtype=np.int64))
 
 
+_last = (None,) * 4  # (file bytes, max_len, min_freq, corpus) of the last parse
+
+
 def load_corpus(path, max_len: int, min_freq: int = 0) -> Corpus:
     """Read a JSONL corpus of {"text": ..., "label": ...} objects.
 
@@ -85,27 +88,37 @@ def load_corpus(path, max_len: int, min_freq: int = 0) -> Corpus:
     the truncated corpus; tokens rarer than min_freq map to UNK. Vocabulary ids
     are assigned by descending frequency with lexicographic tie-break, after
     the three reserved ids.
+
+    A process parses a corpus once: the last result, kept under the file's
+    bytes (mtimes are coarse), max_len and min_freq, is shared by every later
+    call on that content, so its token arrays are read-only. A failed parse
+    keeps nothing.
     """
+    global _last
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     if min_freq < 0:
         raise ValueError(f"min_freq must be non-negative, got {min_freq}")
-
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _last[1:3] == (max_len, min_freq) and _last[0] == data:
+        return _last[3]
+    # Universal newlines, as a text-mode read; str.splitlines splits at more.
+    content = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     raw_docs: list[tuple[list[str], str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                raise CorpusError(f"{path}: line {lineno}: expected object with 'text' and 'label'")
-            text, label = obj["text"], obj["label"]
-            if not isinstance(text, str) or not isinstance(label, str):
-                raise CorpusError(f"{path}: line {lineno}: 'text' and 'label' must be strings")
-            raw_docs.append((tokenize(text)[:max_len], label))
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
+            raise CorpusError(f"{path}: line {lineno}: expected object with 'text' and 'label'")
+        text, label = obj["text"], obj["label"]
+        if not isinstance(text, str) or not isinstance(label, str):
+            raise CorpusError(f"{path}: line {lineno}: 'text' and 'label' must be strings")
+        raw_docs.append((tokenize(text)[:max_len], label))
 
     if not raw_docs:
         raise CorpusError(f"{path}: corpus is empty")
@@ -124,16 +137,18 @@ def load_corpus(path, max_len: int, min_freq: int = 0) -> Corpus:
     class_names = sorted({label for _, label in raw_docs})
     class_ids = {name: i for i, name in enumerate(class_names)}
 
-    documents = []
-    empty = []
+    # Every document's ids are a view of one read-only array.
+    ids = np.array([vocab.get(t, UNK_ID) for tokens, _ in raw_docs for t in tokens], np.int64)
+    ids.flags.writeable = False
+    documents, empty, start = [], [], 0
     for i, (tokens, label) in enumerate(raw_docs):
-        ids = np.asarray([vocab.get(tok, UNK_ID) for tok in tokens], dtype=np.int64)
-        if ids.size == 0:
+        if not tokens:
             empty.append(i)
-        documents.append((ids, class_ids[label]))
+        documents.append((ids[start:start + len(tokens)], class_ids[label]))
+        start += len(tokens)
 
-    return Corpus(documents=documents, vocab=vocab, class_names=class_names,
-                  empty_docs=tuple(empty))
+    _last = (data, max_len, min_freq, Corpus(documents, vocab, class_names, tuple(empty)))
+    return _last[3]
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ masking settings from a MetaConfig and draws the mask once, only when the
 masked-token term is on. It descends on the entries of psi the support set
 reaches (its _WorkingSet), which the batches' plan gives: built once at psi,
 it checks the batches and re-keys itself onto the E rows it reads. The
-result is written back into one copy of psi at the end; every other entry
-has a zero gradient on every step, so it is bitwise that of a descent on all
-of psi.
+descent's gathered vector is its own: each step moves it in place, the one
+ModelParams written in place, and drops the plan's pass memo. The result is
+written back into one copy of psi at the end; every other entry has a zero
+gradient on every step, so it is bitwise that of a descent on all of psi.
 """
 
 from __future__ import annotations
@@ -227,15 +228,16 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
     """Gradient descent from psi on the total loss over a support set at
     cfg.inner_lr, with the mask (drawn here under cfg's settings and psi's
     full vocabulary when aux_weight > 0, unless passed in) fixed across
-    steps. The steps run on the working set, gathered once, and the result
-    is scattered into one copy of psi."""
+    steps. The steps move the working set, gathered once, in place, and the
+    result is scattered into one copy of psi."""
     if aux_weight > 0.0 and masked is None:
         masked = MaskedBatch.build([seq for seq, _ in support], rng, mask_prob=cfg.mask_prob,
                                    strategy=cfg.mask_strategy, vocab_size=psi.vocab_size)
     batch, aux = _branches(support, masked, aux_weight)
     # The plan of the branches' batches, built and checked once at psi, then
     # re-keyed onto the E rows it reads, for every step's pass on them.
-    rows = _plan_of(psi, batch, aux).rekey()
+    plan = _plan_of(psi, batch, aux)
+    rows = plan.rekey()
     work = _WorkingSet(rows, psi.layout(), ParamLayout.build(
         rows.size, psi.d_emb, psi.d_h, psi.n_way, 0 if aux is None else psi.P.shape[0]))
     params = work.gather(psi)
@@ -247,16 +249,17 @@ def _descend(psi: ModelParams, support, steps: int, aux_weight: float, cfg: Meta
             raise InnerLoopError(f"non-finite inner loss at step {s}", step=s)
         trace.append(loss)
         g = grad_total(params, batch, aux, aux_weight)
-        # params.flat - inner_lr * g in one vector: the product is written
-        # into g (into a new vector while g is the first gradient, which is
-        # kept) and the difference taken in place.
+        # inner_lr * g goes into g (into a new vector while g is the first
+        # gradient, which is kept); params moves by it in place, so the plan's
+        # pass, keyed by the params object, goes.
         step = np.multiply(g, cfg.inner_lr, out=None if first is None else g)
         if first is None:
             first = g
-        params = ModelParams.from_flat(np.subtract(params.flat, step, out=step), work.compact)
-    # The plan holds the last step's pass and start point; it goes before the
-    # copy of psi is made, from its batch, which may outlive the descent (the
-    # result keeps the masked batch).
+        np.subtract(params.flat, step, out=params.flat)
+        plan.memo = None
+    # The plan, the last step and gradient go before psi is copied; the plan
+    # leaves its batch too, which may outlive the descent (as result.masked).
+    del plan, step, g
     (aux if batch is None else batch).plan = None
     theta = ModelParams.from_flat(work.scatter(params.flat, psi.flat.copy()), psi.layout())
     return AdaptResult(psi=psi, cfg=cfg, theta_hat=theta, work=work, first_step=first,

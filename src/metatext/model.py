@@ -145,7 +145,8 @@ class ModelParams:
     """Partitioned parameter store: the seven blocks are reshaped views into
     flat, laid out by the layout from_flat was given, and from_flat is the one
     way to build an instance. Treat instances as immutable; ops never mutate,
-    and a batch's plan memoises its last pass by the identity of the instance."""
+    and a batch's plan memoises its last pass by the identity of the instance;
+    meta._descend alone moves its own gathered vector, dropping that memo."""
 
     E: np.ndarray
     W1: np.ndarray
@@ -599,17 +600,18 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     one exponential of the shifted logits, taken in place, gives both the
     normaliser and the softmax. The loss is the mean of log(row sum) minus
     the label's shifted logit."""
-    n = logits.shape[0]
-    idx = np.arange(n)
+    n, width = logits.shape
+    picks = np.arange(0, n * width, width) + labels  # the labels' entries in flat
     probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    picked = probs[idx, labels]
+    flat = probs.reshape(-1)
+    picked = flat.take(picks)
     np.exp(probs, out=probs)
     sums = np.add.reduce(probs, axis=1)
     loss = float(np.add.reduce(np.log(sums) - picked) / n)
     # probs / (sum * n), less 1/n at each label: (softmax - one-hot) / n.
     sums *= n
     probs /= sums[:, None]
-    probs[idx, labels] -= 1.0 / n
+    flat[picks] -= 1.0 / n
     return loss, probs
 
 

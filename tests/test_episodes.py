@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from metatext.episodes import (
     sample_episode,
     tokenize,
 )
+from metatext import episodes as episodes_module
 from metatext.model import FIRST_REAL_ID
 
 from conftest import build_corpus, write_jsonl
@@ -106,6 +109,69 @@ def test_load_corpus_token_ids_never_pad_or_mask(tmp_path):
     for seq, _ in corpus.documents:
         assert np.all(seq != 0) and np.all(seq != 2)
         assert np.all(seq < corpus.vocab_size)
+
+
+def _fresh_corpus_cache(monkeypatch):
+    """Empty load_corpus's cache and count tokenize's calls: one per document
+    of every parse."""
+    calls = []
+    monkeypatch.setattr(episodes_module, "_last", (None,) * 4)
+    monkeypatch.setattr(episodes_module, "tokenize",
+                        lambda text, _tokenize=tokenize: calls.append(text) or _tokenize(text))
+    return calls
+
+
+def test_load_corpus_parses_new_content_under_an_old_mtime(tmp_path, monkeypatch):
+    calls = _fresh_corpus_cache(monkeypatch)
+    path = write_jsonl(tmp_path / "c.jsonl", [{"text": "a b", "label": "X"}])
+    stat = path.stat()
+    first = load_corpus(path, max_len=8)
+    assert load_corpus(path, max_len=8) is first and len(calls) == 1
+    # Other content of the same size, under the old mtime.
+    write_jsonl(path, [{"text": "a c", "label": "X"}])
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    again = load_corpus(path, max_len=8)
+    assert len(calls) == 2 and "c" in again.vocab and "c" not in first.vocab
+
+
+def test_load_corpus_parses_again_under_other_settings(tmp_path, monkeypatch):
+    calls = _fresh_corpus_cache(monkeypatch)
+    path = write_jsonl(tmp_path / "c.jsonl", [{"text": "a a b", "label": "X"}])
+    assert load_corpus(path, max_len=8).documents[0][0].tolist() == [3, 3, 4]
+    assert load_corpus(path, max_len=2).documents[0][0].tolist() == [3, 3]
+    assert load_corpus(path, max_len=2, min_freq=2).vocab_size == 4
+    assert len(calls) == 3
+
+
+def test_load_corpus_raises_on_every_call_to_a_malformed_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"text": "a", "label": "X"}\n{not json}\n')
+    for _ in range(2):
+        with pytest.raises(CorpusError, match="line 2"):
+            load_corpus(path, max_len=8)
+
+
+def test_load_corpus_splits_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "c.jsonl"
+    # CRLF and CR end lines; U+2028 inside a JSON string does not.
+    path.write_bytes('{"text": "a\u2028b", "label": "X"}\r\n\r{"text": "c", "label": "Y"}\r'
+                     '{"text": "d", "label": "Y"}'.encode("utf-8"))
+    corpus = load_corpus(path, max_len=8)
+    assert [corpus.class_names[c] for _, c in corpus.documents] == ["X", "Y", "Y"]
+    path.write_bytes(b'{"text": "a", "label": "X"}\r{oops}\r\n')
+    with pytest.raises(CorpusError, match="line 2"):
+        load_corpus(path, max_len=8)
+
+
+def test_load_corpus_returns_read_only_token_arrays(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"text": "a b", "label": "X"},
+                                              {"text": "", "label": "Y"}])
+    corpus = load_corpus(path, max_len=8)
+    for ids, _ in corpus.documents:
+        with pytest.raises(ValueError, match="read-only"):
+            ids[:1] = 0
+    assert load_corpus(path, max_len=8) is corpus
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,28 @@ def test_plan_is_built_once_per_batch(monkeypatch):
                                                MaskedBatch=int(aux_weight > 0.0)), aux_weight
 
 
+@pytest.mark.parametrize("aux_weight", [0.0, 0.1, 1.0])
+def test_descent_moves_its_own_vector_in_place(monkeypatch, aux_weight):
+    """A descent builds two ModelParams, whatever its step count: the working
+    set it gathers, which every step moves in place, and theta_hat."""
+    rng = np.random.default_rng(5)
+    cfg = ModelConfig(vocab_size=12, d_emb=4, d_h=3, n_way=3)
+    psi = cfg.init_params(rng)
+    support = random_pairs(rng, cfg, 5)
+    episode = Episode(support=support, query=[], label_map=(0, 1, 2))
+    built = []
+    from_flat = ModelParams.from_flat.__func__
+    monkeypatch.setattr(ModelParams, "from_flat",
+                        classmethod(lambda cls, *a: built.append(a[1]) or from_flat(cls, *a)))
+    for steps in (1, 5, 20):
+        meta_cfg = MetaConfig(inner_lr=0.3, inner_steps=steps, aux_weight=aux_weight)
+        for descend in (lambda: fine_tune(psi, support, steps, True, meta_cfg, rng),
+                        lambda: inner_adapt(psi, episode, meta_cfg, rng)):
+            built.clear()
+            descend()
+            assert len(built) == 2 and built[1] is psi.layout(), (steps, aux_weight)
+
+
 @SETTINGS
 @given(cfg=model_configs, seed=seeds)
 def test_from_flat_blocks_are_views_equal_to_copies(cfg, seed):

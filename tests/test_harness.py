@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from metatext import episodes
 from metatext.episodes import SamplingError, load_corpus, make_splits, sample_episode
 from metatext.harness import (
     ConfigError,
@@ -388,6 +389,20 @@ def test_run_ablation_degenerate_grid_matches_direct_run(synth, tmp_path):
     assert results[0][1].std_accuracy == direct.std_accuracy
     assert ((tmp_path / "ab" / "point_000" / "metrics.jsonl").read_bytes()
             == (tmp_path / "direct" / "metrics.jsonl").read_bytes())
+
+
+def test_runs_in_one_process_parse_their_corpus_once(synth, monkeypatch):
+    n_docs = len(open(synth["corpus"], encoding="utf-8").read().splitlines())
+    texts = []
+    tokenize = episodes.tokenize
+    monkeypatch.setattr(episodes, "_last", (None,) * 4)
+    monkeypatch.setattr(episodes, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    cfg = tiny_config(synth, max_epochs=1, test_episodes=2,
+                      episodes_per_epoch_train=2, episodes_per_epoch_val=2)
+    first = run_training(cfg)
+    assert run_training(cfg).mean_accuracy == first.mean_accuracy
+    run_ablation(cfg, {"aux_weight": [0.0, 0.1]})
+    assert len(texts) == n_docs
 
 
 # ---------------------------------------------------------------------------

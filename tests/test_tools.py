@@ -1,10 +1,13 @@
-"""The arithmetic of tools/ab_pairs.py's nine-in-ten rule, and the exit
-status of tools/output_drift.py on a tiny run_training tree."""
+"""The arithmetic of tools/ab_pairs.py's nine-in-ten rule and its two
+checkout directories, and the exit status of tools/output_drift.py on a tiny
+run_training tree."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -47,6 +50,28 @@ def test_summary_needs_nine_wins_and_a_gap_beyond_the_iqr():
     change = [b - 0.5 for b in base[:8]] + [2.0, 2.0]
     _, _, won, _, met = ab_pairs.summary(base, change, "lower")
     assert won == 8 and not met
+
+
+def test_both_sides_run_from_paths_of_equal_length(tmp_path):
+    base, change = ab_pairs.work_dirs(str(tmp_path), "0123456789abcdef")
+    assert len(base) == len(change) and base != change
+    assert os.path.dirname(base) == os.path.dirname(change) == str(tmp_path / ".bench_work")
+
+
+def test_the_change_side_copies_untracked_sources_but_not_the_work_dirs(tmp_path):
+    root = tmp_path / "checkout"
+    files = {"src/pkg/old.py": "tracked", "src/pkg/new.py": "untracked", ".gitignore": "*.log\n",
+             "run.log": "ignored", ".bench_work/ab-base-0123/src/pkg/old.py": "base side"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(["git", "add", "src/pkg/old.py", ".gitignore"], cwd=root, check=True)
+    ab_pairs.copy_checkout(str(root), str(tmp_path / "copy"))
+    copied = sorted(str(p.relative_to(tmp_path / "copy"))
+                    for p in (tmp_path / "copy").rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/pkg/new.py", "src/pkg/old.py"]
+    assert (tmp_path / "copy" / "src/pkg/new.py").read_text() == "untracked"
 
 
 @pytest.fixture(scope="module")

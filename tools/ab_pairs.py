@@ -2,18 +2,22 @@
 
     python3 tools/ab_pairs.py --base HEAD~1 --workload sweep_k1 --seed 97 --pairs 10
 
-REV is checked out with `git worktree` under .bench_work/ (no network is
-needed) and removed afterwards. Each pair runs `bench/run.py --workload W
---seed S --seconds 50 --trace 0` once in the base checkout and once in
-this one, each in its own process, alternating which goes first (ABBA), so
-that drift on a shared host falls on both sides. For every end-to-end metric
-of BENCHMARK.json it prints each side's median and quartiles, how many pairs
-the change won and the gap between the medians, both in the metric's better
-direction, and the base's interquartile range. A gain counts under the
-nine-in-ten rule when the change wins at least nine pairs in ten and the
-median gap exceeds the base's IQR; the last column says whether that holds.
-A run that fails, or whose checks do not pass, stops the whole comparison
-with exit status 1.
+REV is checked out with `git worktree` into .bench_work/ab-base-<rev12> (no
+network is needed), and this checkout's files, as `git ls-files --cached
+--others --exclude-standard` lists them (so new, uncommitted modules come
+along), are copied into .bench_work/ab-chng-<rev12>: both sides run from
+sibling directories whose paths have equal length, because the length of a
+checkout's path moves peak_rss_mb by tenths of a MB. Both are removed
+afterwards. Each pair runs `bench/run.py --workload W --seed S --seconds 50
+--trace 0` once in each, each in its own process, alternating which goes
+first (ABBA), so that drift on a shared host falls on both sides. For every
+end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles, how many pairs the change won and the gap between the medians,
+both in the metric's better direction, and the base's interquartile range.
+A gain counts under the nine-in-ten rule when the change wins at least nine
+pairs in ten and the median gap exceeds the base's IQR; the last column says
+whether that holds. A run that fails, or whose checks do not pass, stops the
+whole comparison with exit status 1.
 """
 
 from __future__ import annotations
@@ -33,6 +37,26 @@ SECONDS = 50  # bench/run.py --seconds of every run, the benchmark's convention
 def git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def work_dirs(root, rev) -> tuple[str, str]:
+    """The base's and the change's checkout directories for revision rev:
+    siblings under root/.bench_work whose paths have equal length."""
+    return tuple(os.path.join(root, ".bench_work", f"ab-{side}-{rev[:12]}")
+                 for side in ("base", "chng"))
+
+
+def copy_checkout(root, dest) -> None:
+    """Copy the files of the checkout at root that git tracks or would track
+    (untracked files that no ignore rule covers) into dest, skipping
+    .bench_work/ and files deleted from the working tree."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=root)
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(root, name)
+        if name.startswith(".bench_work/") or not os.path.isfile(source):
+            continue
+        os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+        shutil.copy2(source, os.path.join(dest, name))
 
 
 def bench(checkout, workload, seed) -> dict:
@@ -74,16 +98,18 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
     rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    base_dir = os.path.join(ROOT, ".bench_work", f"ab-base-{rev[:12]}")
+    base_dir, change_dir = work_dirs(ROOT, rev)
     if os.path.exists(base_dir):
         git("worktree", "remove", "--force", base_dir)
+    shutil.rmtree(change_dir, ignore_errors=True)
     git("worktree", "add", "--detach", base_dir, rev)
     runs = {"base": [], "change": []}
     try:
+        copy_checkout(ROOT, change_dir)
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                checkout = base_dir if side == "base" else ROOT
+                checkout = base_dir if side == "base" else change_dir
                 runs[side].append(bench(checkout, args.workload, args.seed))
             print(f"pair {i + 1}: run_s base {runs['base'][-1]['run_s']:.4f}  "
                   f"change {runs['change'][-1]['run_s']:.4f}", flush=True)
@@ -93,6 +119,7 @@ def main(argv=None) -> int:
     finally:
         git("worktree", "remove", "--force", base_dir)
         shutil.rmtree(base_dir, ignore_errors=True)
+        shutil.rmtree(change_dir, ignore_errors=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, base {rev[:12]}")
     print(f"{'metric':<18} {'base q1/median/q3':>30} {'change q1/median/q3':>30} "
