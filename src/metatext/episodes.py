@@ -201,6 +201,9 @@ def load_split_file(path) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict) or set(obj) != {"train", "val", "test"}:
         raise SplitError(f"{path}: expected an object with exactly 'train', 'val', 'test' keys")
+    for key, names in obj.items():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SplitError(f"{path}: {key!r} must be a list of class names, got {names!r}")
     return obj
 
 

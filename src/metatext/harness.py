@@ -21,9 +21,11 @@ from .meta import MetaConfig, MetaState, fine_tune, fomaml_step, meta_step, meta
 from .model import ConfigError, MaskedBatch, ModelConfig, ModelParams, check_fields, encode, grad_primary, grad_total, primary_loss, save_params, total_loss
 
 # Each method's MetaConfig: the experiment's values with these fields
-# replaced. fomaml_step and reptile_step apply FOMAML_PRESET and
-# REPTILE_PRESET themselves, so a baseline's config is checked as amgs's is.
-METHOD_PRESETS = {"amgs": {}, "fomaml": {}, "reptile": {},
+# replaced. The baselines are settings of the gated meta-update.
+METHOD_PRESETS = {"amgs": {},
+                  "fomaml": dict(aux_weight=0.0, include_support=False, query_mode="always"),
+                  "reptile": dict(aux_weight=0.0, include_support=True,
+                                  support_term="accumulated", query_mode="never"),
                   "amgs_que": dict(include_support=False, query_mode="always"),
                   "amgs_sup": dict(query_mode="never"),
                   "amgs_que_sup": dict(query_mode="always")}
@@ -92,7 +94,7 @@ class ExperimentConfig:
         check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        self.meta_config()  # MetaConfig checks its own fields
+        MetaConfig(**self._shared())  # the user's values, before a preset overrides any
         for name in ("n_way", "k_shot", "query_per_class", "patience", "episodes_per_epoch_train",
                      "episodes_per_epoch_val", "test_episodes", "max_epochs", "meta_batch_size",
                      "d_emb", "d_h", "max_len"):
@@ -130,17 +132,20 @@ class ExperimentConfig:
     def effective_fine_tune_steps(self) -> int:
         return self.inner_steps if self.fine_tune_steps is None else self.fine_tune_steps
 
-    def fine_tune_args(self) -> tuple[int, bool, MetaConfig]:
-        """How evaluation fine-tunes: (steps, use_mtp, MetaConfig) for fine_tune
-        and meta_test. Baselines carry no masked-token head usage at all."""
-        return (self.effective_fine_tune_steps(),
-                self.use_mtp_test and self.method in AMGS_FAMILY, self.meta_config())
+    def fine_tune_args(self) -> tuple[int, bool]:
+        """How evaluation fine-tunes: (steps, use_mtp) for fine_tune and
+        meta_test, which take the run's meta_config() after them. Baselines
+        carry no masked-token head usage at all."""
+        return self.effective_fine_tune_steps(), self.use_mtp_test and self.method in AMGS_FAMILY
+
+    def _shared(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(MetaConfig)
+                if hasattr(self, f.name)}
 
     def meta_config(self) -> MetaConfig:
-        """The MetaConfig of the fields both configs share, plus the method's preset."""
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(MetaConfig)
-                  if hasattr(self, f.name)}
-        return MetaConfig(**{**shared, **METHOD_PRESETS[self.method]})
+        """The MetaConfig of the fields both configs share, with the method's
+        preset over them: the one config of a run's training and evaluation."""
+        return MetaConfig(**{**self._shared(), **METHOD_PRESETS[self.method]})
 
 
 @dataclass
@@ -185,11 +190,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _step_fn(method: str):
-    if method == "fomaml":
-        return fomaml_step
-    if method == "reptile":
-        return reptile_step
-    return meta_step
+    # Read from the module's globals at each call, where a tracer patches them.
+    return {"fomaml": fomaml_step, "reptile": reptile_step}.get(method, meta_step)
 
 
 def load_experiment_data(config: ExperimentConfig) -> tuple[Corpus, ClassSplit]:
@@ -212,13 +214,10 @@ def _sample_episodes(corpus, split, part, config, n_episodes, rng) -> list:
     return eps
 
 
-def _evaluate(psi: ModelParams, eps: list, config: ExperimentConfig,
+def _evaluate(psi: ModelParams, eps: list, args: tuple,
               rng_adapt: np.random.Generator) -> tuple[float, list]:
-    args = config.fine_tune_args()
-    accs = []
-    for ep in eps:
-        acc, _ = meta_test(psi, ep, *args, rng_adapt)
-        accs.append(acc)
+    """Mean and per-episode accuracy of meta_test(psi, ep, *args, rng_adapt)."""
+    accs = [meta_test(psi, ep, *args, rng_adapt)[0] for ep in eps]
     return float(np.mean(accs)), accs
 
 
@@ -228,6 +227,7 @@ def _train_one_seed(config: ExperimentConfig, corpus: Corpus, split: ClassSplit,
                             d_h=config.d_h, n_way=config.n_way)
     psi = model_cfg.init_params(_rng(seed, _RNG_INIT))
     state = MetaState.create(psi, config.meta_config())
+    eval_args = (*config.fine_tune_args(), state.cfg)
     step_fn = _step_fn(config.method)
     rng_sample = _rng(seed, _RNG_TRAIN_SAMPLE)
     rng_step = _rng(seed, _RNG_TRAIN_STEP)
@@ -250,12 +250,12 @@ def _train_one_seed(config: ExperimentConfig, corpus: Corpus, split: ClassSplit,
         seen_eps = _sample_episodes(corpus, split, "train", config,
                                     config.episodes_per_epoch_val,
                                     _rng(seed, _RNG_SEEN_SAMPLE, epoch))
-        seen_acc, _ = _evaluate(state.psi, seen_eps, config,
+        seen_acc, _ = _evaluate(state.psi, seen_eps, eval_args,
                                 _rng(seed, _RNG_SEEN_ADAPT, epoch))
         val_eps = _sample_episodes(corpus, split, "val", config,
                                    config.episodes_per_epoch_val,
                                    _rng(seed, _RNG_VAL_SAMPLE, epoch))
-        val_acc, _ = _evaluate(state.psi, val_eps, config,
+        val_acc, _ = _evaluate(state.psi, val_eps, eval_args,
                                _rng(seed, _RNG_VAL_ADAPT, epoch))
         train_curve.append(seen_acc)
         val_curve.append(val_acc)
@@ -272,7 +272,7 @@ def _train_one_seed(config: ExperimentConfig, corpus: Corpus, split: ClassSplit,
 
     test_eps = _sample_episodes(corpus, split, "test", config, config.test_episodes,
                                 _rng(seed, _RNG_TEST_SAMPLE))
-    test_acc, per_episode = _evaluate(best_psi, test_eps, config,
+    test_acc, per_episode = _evaluate(best_psi, test_eps, eval_args,
                                       _rng(seed, _RNG_TEST_ADAPT))
     result = SeedResult(seed=seed, train_accuracy=train_curve, val_accuracy=val_curve,
                         best_epoch=best_epoch, test_accuracy=test_acc,
@@ -470,18 +470,15 @@ def export_embeddings(psi: ModelParams, episode: Episode, path, corpus: Corpus,
     if psi.vocab_size != corpus.vocab_size:
         raise ValueError(f"checkpoint has vocab_size={psi.vocab_size}, the corpus "
                          f"vocabulary under this config has {corpus.vocab_size} tokens")
-    theta = fine_tune(psi, episode.support, *config.fine_tune_args(), rng)
-    d_h = psi.d_h
+    theta = fine_tune(psi, episode.support, *config.fine_tune_args(), config.meta_config(), rng)
+    reps = encode(theta, [seq for seq, _ in episode.query])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = [f"rep_{i}" for i in range(d_h)] + ["local_label", "class_name"]
+        header = [f"rep_{i}" for i in range(psi.d_h)] + ["local_label", "class_name"]
         fh.write(",".join(header) + "\n")
-        count = 0
-        for seq, label in episode.query:
-            _, rep = encode(theta, seq)
+        for rep, (_, label) in zip(reps, episode.query):
             class_name = corpus.class_names[episode.label_map[label]]
             fh.write(",".join([_fmt(float(x)) for x in rep] + [str(label), class_name]) + "\n")
-            count += 1
-    return count
+    return len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +509,12 @@ def max_rel_err(analytic, numeric) -> float:
 
 def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) -> dict:
     """Compare analytic gradients with central finite differences on random
-    small instances. Returns max relative error per loss."""
+    small instances. Returns max relative error per loss; a NaN error is
+    kept, so it fails any tolerance."""
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(vocab_size=10, d_emb=4, d_h=3, n_way=3)
     worst = {"primary": 0.0, "aux": 0.0, "total": 0.0}
@@ -526,14 +526,13 @@ def check_gradients(n_instances: int = 20, seed: int = 0, step: float = 1e-6) ->
             batch.append((rng.integers(3, 10, size=length), int(rng.integers(cfg.n_way))))
         masked = MaskedBatch.build([s for s, _ in batch], rng, mask_prob=0.5,
                                    vocab_size=cfg.vocab_size)
-        aux_w = 0.3
-        g = grad_primary(params, batch)
-        worst["primary"] = max(worst["primary"], max_rel_err(g, central_diff(
-            lambda p: primary_loss(p, batch)[0], params, step)))
-        g = grad_total(params, batch, masked, 1.0)
-        worst["aux"] = max(worst["aux"], max_rel_err(g, central_diff(
-            lambda p: total_loss(p, batch, masked, 1.0), params, step)))
-        g = grad_total(params, batch, masked, aux_w)
-        worst["total"] = max(worst["total"], max_rel_err(g, central_diff(
-            lambda p: total_loss(p, batch, masked, aux_w), params, step)))
+        for name, grad, loss_fn in (
+                ("primary", grad_primary(params, batch), lambda p: primary_loss(p, batch)[0]),
+                ("aux", grad_total(params, batch, masked, 1.0),
+                 lambda p: total_loss(p, batch, masked, 1.0)),
+                ("total", grad_total(params, batch, masked, 0.3),
+                 lambda p: total_loss(p, batch, masked, 0.3))):
+            # np.maximum keeps a NaN, where max(worst, nan) would keep worst.
+            worst[name] = float(np.maximum(worst[name], max_rel_err(
+                grad, central_diff(loss_fn, params, step))))
     return worst

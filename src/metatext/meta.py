@@ -1,5 +1,5 @@
 """Inner-loop adaptation and the cosine-gated meta-update, with the
-first-order baselines as presets of it.
+first-order baselines as settings of it.
 
 The meta-learner keeps an initialization psi. For each episode the base
 learner takes plain gradient-descent steps on the support set (classification
@@ -11,12 +11,12 @@ meta-update itself runs through Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) by
 default; a plain-SGD mode exists so single steps can be checked against
 hand-assembled sums.
 
-One loop, _step, runs every method and reads its behaviour from a MetaConfig:
-it adapts each episode through inner_adapt and takes the query loss, gradient
-and gate itself. FOMAML (FOMAML_PRESET) and Reptile (REPTILE_PRESET) are
-settings of the gated update. Besides the preset, the step functions set
-whether the cosine is taken and logged (meta_step only) and whether the query
-set joins the inner batch (reptile_step with reptile_use_query).
+One loop, _step, runs every method under the state's MetaConfig as given: it
+adapts each episode through inner_adapt and takes the query loss, gradient and
+gate itself. FOMAML and Reptile are settings of the gated update, rows of
+harness.METHOD_PRESETS. Besides the config, the step functions set whether the
+cosine is taken and logged (meta_step only) and whether the query set joins
+the inner batch (reptile_step with reptile_use_query).
 
 One routine, _descend, runs the support-set descent of both the inner loop
 (inner_adapt) and test-time fine-tuning (fine_tune): it reads the rate and the
@@ -56,11 +56,6 @@ from .model import (
     total_loss,
 )
 
-# The baselines as settings of the gated meta-update: the MetaConfig fields
-# fomaml_step and reptile_step replace before running it.
-FOMAML_PRESET = dict(aux_weight=0.0, include_support=False, query_mode="always")
-REPTILE_PRESET = dict(aux_weight=0.0, include_support=True, support_term="accumulated",
-                      query_mode="never")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -324,20 +319,20 @@ def _apply_update(state: MetaState, meta_grad: np.ndarray) -> MetaState:
                      step_count=t, cfg=cfg)
 
 
-def _step(state: MetaState, episode_batch, rng: np.random.Generator,
-          cfg: MetaConfig, *, cosine: bool, query_in_inner: bool = False
-          ) -> tuple[MetaState, dict]:
-    """The meta-update of every step function, under cfg (state.cfg or a
-    baseline preset of it): per episode, adapt on the support set (plus the
-    query set with query_in_inner), take the query gradient at the adapted
-    parameters where the update or the cosine reads it, and add the support
-    term and the query gradient cfg lets in; then one optimizer step. cosine
-    gates the query gradient by its cosine against the support direction; an
-    episode without a query set gets no gradient, no cosine and a closed gate.
+def _step(state: MetaState, episode_batch, rng: np.random.Generator, *, cosine: bool,
+          query_in_inner: bool = False) -> tuple[MetaState, dict]:
+    """The meta-update of every step function, under state.cfg: per episode,
+    adapt on the support set (plus the query set with query_in_inner), take
+    the query gradient at the adapted parameters where the update or the
+    cosine reads it, and add the support term and the query gradient the
+    config lets in; then one optimizer step. cosine gates the query gradient
+    by its cosine against the support direction; an episode without a query
+    set gets no gradient, no cosine and a closed gate.
     Returns the new state and the step's metrics.jsonl record: step, one list
     per EPISODE_KEYS entry with an item per episode, and meta_grad_norm."""
     if not episode_batch:
         raise ValueError("episode batch is empty")
+    cfg = state.cfg
     meta_grad = np.zeros_like(state.psi.flat)
     layout = state.psi.layout()
     rows = []  # one per episode, in EPISODE_KEYS order
@@ -381,31 +376,30 @@ def meta_step(state: MetaState, episode_batch, rng: np.random.Generator
     contribute their support term only, so deleting their query sets leaves
     the update bit-for-bit unchanged.
     """
-    return _step(state, episode_batch, rng, state.cfg, cosine=True)
+    return _step(state, episode_batch, rng, cosine=True)
 
 
 def fomaml_step(state: MetaState, episode_batch, rng: np.random.Generator
                 ) -> tuple[MetaState, dict]:
-    """First-order MAML, the meta-update under FOMAML_PRESET: adapt on the
-    classification loss only, then apply the query gradient at the adapted
-    parameters as the meta-gradient. An episode without a query set
-    contributes nothing; no cosine is taken."""
-    return _step(state, episode_batch, rng, replace(state.cfg, **FOMAML_PRESET), cosine=False)
+    """First-order MAML: the meta-update under state.cfg as given, with no
+    cosine taken. Under FOMAML's settings (harness.METHOD_PRESETS["fomaml"])
+    it adapts on the classification loss only and applies the query gradient
+    at the adapted parameters; an episode without a query set adds nothing."""
+    return _step(state, episode_batch, rng, cosine=False)
 
 
 def reptile_step(state: MetaState, episode_batch, rng: np.random.Generator
                  ) -> tuple[MetaState, dict]:
-    """Reptile, the meta-update under REPTILE_PRESET: move psi toward the
-    inner-loop solution.
-
-    The accumulated movement (psi - theta_hat)/inner_lr is fed to the meta
-    optimizer as a gradient. The inner loop consumes the support set only
-    unless reptile_use_query is set; no query gradient is taken.
-    """
+    """Reptile: the meta-update under state.cfg as given, with no cosine
+    taken and, with reptile_use_query, the query set in the inner batch.
+    Under Reptile's settings (harness.METHOD_PRESETS["reptile"]) it moves psi
+    toward the inner-loop solution, feeding the accumulated movement
+    (psi - theta_hat)/inner_lr to the meta optimizer, and takes no query
+    gradient."""
     if state.cfg.inner_lr <= 0.0:
         raise ValueError("reptile requires a positive inner_lr")
-    return _step(state, episode_batch, rng, replace(state.cfg, **REPTILE_PRESET),
-                 cosine=False, query_in_inner=state.cfg.reptile_use_query)
+    return _step(state, episode_batch, rng, cosine=False,
+                 query_in_inner=state.cfg.reptile_use_query)
 
 
 def fine_tune(psi: ModelParams, support, steps: int, use_mtp: bool, cfg: MetaConfig,

@@ -497,6 +497,8 @@ def _pack(sequences) -> np.ndarray:
     max_len = max(1, max(s.size for s in seqs))
     tokens = np.full((len(seqs), max_len), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
+        if s.ndim != 1:
+            raise ValueError(f"sequence {i} is not a 1-D array of token ids")
         tokens[i, : s.size] = s
     return tokens
 
@@ -530,8 +532,7 @@ def _plan_of(params: ModelParams, packed: PackedBatch | None,
     masked, the shape of the params' E and their classifier width. Building
     one checks, besides the tokens, packed's labels against the classifier
     and each of masked's targets: a sequence index in range, a position on
-    a non-PAD token of that row and an original id within P's rows (encode's
-    own targets also read PAD positions, so the check is here)."""
+    a non-PAD token of that row and an original id within P's rows."""
     holder, stacked = (masked, None) if packed is None else (packed, masked)
     plan = holder.plan
     if (plan is None or plan.stacked is not stacked or plan.e_shape != params.E.shape
@@ -573,22 +574,12 @@ def _forward(params: ModelParams, plan: _Plan) -> _Forward:
     return _Forward(emb=emb, ctx=ctx, hidden=hidden, rep=rep)
 
 
-def encode(params: ModelParams, sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one sequence.
-
-    Returns per-token hidden states (length x d_h, one per position, PAD's
-    included) and the sentence representation (mean hidden state over
-    non-PAD positions).
-    """
-    seq = np.asarray(sequence, dtype=np.int64)
-    if seq.ndim != 1 or not np.any((seq != PAD_ID)):
-        raise EncodingError("sequence is empty after PAD removal")
-    # The sequence classified, then again with every position a target, so
-    # that the pass encodes each position.
-    tokens = np.stack([seq, seq])
-    plan = _Plan.build(tokens, params, 1, None, [(0, pos, 0) for pos in range(seq.size)])
-    fw = _forward(params, plan)
-    return fw.hidden[plan.n_c:], fw.rep[0]
+def encode(params: ModelParams, sequences) -> np.ndarray:
+    """The sentence representations of a batch of sequences, (len(sequences),
+    d_h), from one pass: each the mean hidden state over its non-PAD
+    positions."""
+    tokens = _pack(sequences)
+    return _forward(params, _Plan.build(tokens, params, len(tokens))).rep
 
 
 # ---------------------------------------------------------------------------

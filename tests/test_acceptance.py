@@ -19,6 +19,7 @@ import pytest
 from metatext.episodes import Episode, load_corpus, make_splits, sample_episode
 from metatext.harness import (
     DEFAULT_GRIDS,
+    METHOD_PRESETS,
     ExperimentConfig,
     central_diff,
     gen_synthetic,
@@ -228,14 +229,14 @@ def test_criterion_3_reductions():
         return psi.to_flat() - 0.07 * g_qry
 
     eps = episodes(5)
-    # The gated step under the FOMAML settings, and fomaml_step on a config
-    # whose aux weight, support term and gate it must ignore, each against
-    # the hand-assembled update.
+    # The gated step under the FOMAML settings spelled out, and fomaml_step
+    # on a config carrying FOMAML's preset (its row of METHOD_PRESETS), each
+    # against the hand-assembled update.
     reduced_cfg = MetaConfig(inner_lr=0.3, meta_lr=0.07, inner_steps=4,
                              aux_weight=0.0, include_support=False,
                              query_mode="always", meta_optimizer="sgd")
     fomaml_cfg = MetaConfig(inner_lr=0.3, meta_lr=0.07, inner_steps=4,
-                            meta_optimizer="sgd")
+                            meta_optimizer="sgd", **METHOD_PRESETS["fomaml"])
     states = {meta_step: MetaState.create(psi, reduced_cfg),
               fomaml_step: MetaState.create(psi, fomaml_cfg)}
     worst_fomaml = 0.0
@@ -247,7 +248,7 @@ def test_criterion_3_reductions():
                 states[step_fn].psi.to_flat() - expected).max()))
 
     rep_cfg = MetaConfig(inner_lr=0.3, meta_lr=0.07, inner_steps=1,
-                         meta_optimizer="sgd")
+                         meta_optimizer="sgd", **METHOD_PRESETS["reptile"])
     s_rep = MetaState.create(psi, rep_cfg)
     worst_reptile = 0.0
     for i, ep in enumerate(eps):

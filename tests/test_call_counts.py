@@ -2,7 +2,7 @@
 (bench/spans.py), makes exactly the calls that bench/checks.py derives from
 its config. A change that routes around a counted function fails here as well
 as in the benchmark. The bench modules are imported, not copied. The same
-tiny runs leave no cyclic garbage."""
+tiny runs leave no cyclic garbage, and each builds its MetaConfig once per seed."""
 
 import gc
 import os
@@ -13,6 +13,7 @@ import pytest
 
 from metatext.harness import (AMGS_FAMILY, METHODS, ExperimentConfig, gen_synthetic,
                               run_training, write_split_file)
+from metatext.meta import MetaConfig
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -37,10 +38,13 @@ def traced_calls(config):
     return run, tracer.take().calls()
 
 
-@pytest.mark.parametrize("method, fine_tune_steps",
-                         [(m, 5) for m in METHODS] + [("amgs", 0)])
-def test_traced_calls_match_the_benchmark_contract(base_config, method, fine_tune_steps):
-    config = replace(base_config, method=method, fine_tune_steps=fine_tune_steps)
+@pytest.mark.parametrize("method, fine_tune_steps, extra", [
+    *(pytest.param(m, 5, {}, id=f"{m}-5") for m in METHODS),
+    pytest.param("amgs", 0, {}, id="amgs-0"),
+    # The query_in_inner path of reptile_step, which reads the flag off state.cfg.
+    pytest.param("reptile", 5, {"reptile_use_query": True}, id="reptile-5-use_query")])
+def test_traced_calls_match_the_benchmark_contract(base_config, method, fine_tune_steps, extra):
+    config = replace(base_config, method=method, fine_tune_steps=fine_tune_steps, **extra)
     run, calls = traced_calls(config)
     for name, want in expected_calls(config, run).items():
         assert calls[name] == want, (name, calls[name], want)
@@ -71,3 +75,18 @@ def test_run_training_leaves_no_cyclic_garbage(base_config, method):
         gc.garbage.clear()
         gc.enable()
     assert not garbage, f"{len(garbage)} objects, the first a {type(garbage[0]).__name__}"
+
+
+@pytest.mark.parametrize("method", ["amgs", "fomaml", "reptile"])
+def test_run_training_builds_one_meta_config_per_seed(base_config, method, monkeypatch):
+    """The seed's meta-state and every evaluation share one MetaConfig: the
+    baselines' step functions no longer lay their preset over it on every
+    meta-step, and no evaluation rebuilds it."""
+    one = replace(base_config, method=method)
+    two = replace(one, seeds=(*one.seeds, one.seeds[0] + 1))
+    built, check = [], MetaConfig.__post_init__
+    monkeypatch.setattr(MetaConfig, "__post_init__", lambda cfg: built.append(check(cfg)))
+    for config in (one, two):
+        built.clear()
+        run_training(config)
+        assert len(built) == len(config.seeds)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from metatext import harness
 from metatext.cli import main
 
 
@@ -208,6 +210,28 @@ def test_check_gradients_rejects_no_instances(capsys, count):
     assert rc == 1 and captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "n_instances must be at least 1" in json.loads(err[0])["message"]
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1e-6"])
+def test_check_gradients_rejects_a_step_that_is_not_finite_and_positive(capsys, step):
+    # A NaN step printed three "max relative error 0.000e+00 [ok]" lines and
+    # exited 0; a zero step died in a bare ZeroDivisionError.
+    rc = main(["check-gradients", "--instances", "1", f"--step={step}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err == {"error": "ValueError",
+                   "message": f"step must be finite and positive, got {float(step)}"}
+
+
+def test_check_gradients_reports_a_nan_error_as_failure(capsys, monkeypatch):
+    # A NaN difference quotient is an error of unknown size, not a zero one.
+    monkeypatch.setattr(harness, "central_diff",
+                        lambda loss_fn, params, step: np.full(params.flat.size, np.nan))
+    rc = main(["check-gradients", "--instances", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.count("[FAIL]") == 3 and "nan" in out
 
 
 def test_unknown_grid_name_fails_cleanly(workspace, capsys):

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +221,17 @@ def test_load_split_file_requires_exact_keys(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"train": [], "val": []}')
     with pytest.raises(SplitError):
+        load_split_file(path)
+
+
+@pytest.mark.parametrize("part", [5, "class0", ["class0", 3], None])
+def test_load_split_file_requires_lists_of_class_names(tmp_path, part):
+    # 5 reached make_splits and raised a bare TypeError; "class0" was read
+    # as its characters and reported the unknown class name 'c'.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"train": part, "val": ["class1"], "test": []}))
+    with pytest.raises(SplitError, match=f"^{re.escape(str(path))}: 'train' must be a list "
+                                         "of class names"):
         load_split_file(path)
 
 

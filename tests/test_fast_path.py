@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from metatext import meta, model
 from metatext.episodes import Episode
+from metatext.harness import METHOD_PRESETS
 from metatext.meta import (MetaConfig, MetaState, fine_tune, fomaml_step, inner_adapt, meta_step,
                            reptile_step)
 from metatext.model import (FIRST_REAL_ID, PAD_ID, UNK_ID, EncodingError, MaskedBatch,
@@ -401,8 +402,9 @@ def test_step_functions_leave_psi_unchanged(seed, steps, aux_weight):
                           aux_weight=aux_weight, reptile_use_query=True)
     inner_adapt(psi, episodes[0], meta_cfg, rng)
     fine_tune(psi, episodes[0].support, steps, True, meta_cfg, rng)
-    for step_fn in (meta_step, fomaml_step, reptile_step):
-        step_fn(MetaState.create(psi, meta_cfg), episodes, rng)
+    for step_fn, method in ((meta_step, "amgs"), (fomaml_step, "fomaml"),
+                            (reptile_step, "reptile")):
+        step_fn(MetaState.create(psi, replace(meta_cfg, **METHOD_PRESETS[method])), episodes, rng)
     assert same_bits(backing, before)
     assert same_bits(psi.to_flat(), before)
 
@@ -975,7 +977,7 @@ def test_fomaml_never_computes_the_accumulated_movement(monkeypatch):
     movement = meta.AdaptResult.accumulated.func
     monkeypatch.setattr(meta.AdaptResult, "accumulated",
                         property(lambda res: reads.append(1) or movement(res)))
-    fomaml_step(MetaState.create(psi, meta_cfg), episodes, rng)
+    fomaml_step(MetaState.create(psi, replace(meta_cfg, **METHOD_PRESETS["fomaml"])), episodes, rng)
     assert reads == []
     meta_step(MetaState.create(psi, meta_cfg), episodes, rng)
     assert reads

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from metatext import episodes
+from metatext import episodes, harness
 from metatext.episodes import SamplingError, load_corpus, make_splits, sample_episode
 from metatext.harness import (
+    METHOD_PRESETS,
     ConfigError,
     ExperimentConfig,
     check_gradients,
@@ -17,10 +18,11 @@ from metatext.harness import (
     run_training,
     write_split_file,
 )
-from metatext.meta import MetaConfig
+from metatext.meta import MetaConfig, fine_tune
 from metatext.model import ModelConfig
 
 from conftest import random_episode, write_jsonl
+from test_model import encode_reference
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +144,18 @@ def test_configs_check_each_field_against_its_annotation(config, kw):
 def test_config_accepts_numpy_integer_seeds(synth):
     # 10**400 has no float value, so no finiteness check may convert it.
     tiny_config(synth, seeds=(np.int64(1), 2, 10**400), fine_tune_steps=np.int64(0))
+
+
+@pytest.mark.parametrize("method, kw, message", [
+    ("fomaml", {"aux_weight": 2.0}, "aux_weight must be in"),
+    ("reptile", {"support_term": "bogus"}, "unknown support_term 'bogus'")])
+def test_config_checks_the_values_a_preset_overrides(method, kw, message):
+    # The baselines' presets replace aux_weight and support_term, so their
+    # MetaConfig never sees these values; the experiment's check must.
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(method=method, **kw)
+    assert getattr(ExperimentConfig(method=method).meta_config(), next(iter(kw))) == \
+        METHOD_PRESETS[method][next(iter(kw))]
 
 
 def test_run_training_skips_empty_documents(tmp_path):
@@ -464,6 +478,26 @@ def test_export_embeddings_rejects_a_checkpoint_of_other_shapes(synth, tmp_path)
     assert not path.exists()
 
 
+def test_export_embeddings_rows_match_the_per_sequence_reference(synth, tmp_path):
+    # The one pass over the query set gives, per row, what the straight-line
+    # encoder gives for that sequence alone at the fine-tuned parameters.
+    cfg = tiny_config(synth, fine_tune_steps=3)
+    corpus, split = load_experiment_data(cfg)
+    psi = ModelConfig(vocab_size=corpus.vocab_size, d_emb=8, d_h=8,
+                      n_way=3).init_params(np.random.default_rng(0))
+    ep = sample_episode(corpus, split, "test", 3, 1, 2, np.random.default_rng(1))
+    path = tmp_path / "emb.csv"
+    export_embeddings(psi, ep, path, corpus, cfg, np.random.default_rng(2))
+    theta = fine_tune(psi, ep.support, *cfg.fine_tune_args(), cfg.meta_config(),
+                      np.random.default_rng(2))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[-2:] for row in rows] == [
+        [str(label), corpus.class_names[ep.label_map[label]]] for _, label in ep.query]
+    got = np.array([[float(x) for x in row[:-2]] for row in rows])
+    want = np.array([encode_reference(theta, seq) for seq, _ in ep.query])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_export_embeddings_zero_params_identical_rows(synth, tmp_path):
     cfg = tiny_config(synth)
     corpus, split = load_experiment_data(cfg)
@@ -479,6 +513,21 @@ def test_export_embeddings_zero_params_identical_rows(synth, tmp_path):
 
 # ---------------------------------------------------------------------------
 # gradient check entry point
+
+
+def test_check_gradients_keeps_a_nan_error(monkeypatch):
+    # max(worst, nan) keeps worst, so a NaN on the first instance vanished
+    # behind the finite errors of the second.
+    exact, calls = harness.central_diff, []
+
+    def nan_on_first_instance(loss_fn, params, step):
+        calls.append(step)
+        grad = exact(loss_fn, params, step)
+        return np.full_like(grad, np.nan) if len(calls) <= 3 else grad
+
+    monkeypatch.setattr(harness, "central_diff", nan_on_first_instance)
+    worst = check_gradients(n_instances=2, seed=0)
+    assert len(calls) == 6 and all(np.isnan(err) for err in worst.values())
 
 
 def test_check_gradients_reports_small_errors():

@@ -6,7 +6,7 @@ import pytest
 
 from metatext import meta
 from metatext.episodes import Episode
-from metatext.harness import METHODS, ExperimentConfig, _step_fn
+from metatext.harness import METHOD_PRESETS, METHODS, ExperimentConfig, _step_fn
 from metatext.meta import (
     InnerLoopError,
     MetaConfig,
@@ -50,11 +50,12 @@ def adapt_config(inner_lr, inner_steps, aux_weight, **kw):
     return MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps, aux_weight=aux_weight, **kw)
 
 
-def sgd_config(**kw):
+def sgd_config(method="amgs", **kw):
+    """An SGD MetaConfig with method's preset over kw, as
+    ExperimentConfig.meta_config() lays a preset over the experiment's values."""
     base = dict(inner_lr=0.1, meta_lr=0.05, inner_steps=2, aux_weight=1e-3,
                 meta_optimizer="sgd")
-    base.update(kw)
-    return MetaConfig(**base)
+    return MetaConfig(**{**base, **kw, **METHOD_PRESETS[method]})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def test_step_report_fields_per_method(method, use_query, setup, monkeypatch):
 
 def test_fomaml_single_step_formula(setup):
     _, psi, ep, _ = setup
-    state = MetaState.create(psi, sgd_config(inner_steps=1))
+    state = MetaState.create(psi, sgd_config("fomaml", inner_steps=1))
     new, _ = fomaml_step(state, [ep], np.random.default_rng(0))
     inner = psi.to_flat() - 0.1 * grad_primary(psi, ep.support)
     theta = ModelParams.from_flat(inner, psi.layout())
@@ -369,10 +370,10 @@ def test_fomaml_single_step_formula(setup):
 
 
 def test_fomaml_equals_reduced_amgs(setup):
-    # Both the gated step under the FOMAML settings and fomaml_step (on a
-    # config whose aux weight, support term and gate it must ignore) match a
-    # hand-assembled FOMAML update: inner GD on the classification loss, then
-    # the query gradient at the adapted parameters.
+    # Both the gated step under the FOMAML settings spelled out and
+    # fomaml_step on FOMAML's preset config match a hand-assembled FOMAML
+    # update: inner GD on the classification loss, then the query gradient
+    # at the adapted parameters.
     _, psi, ep, _ = setup
     theta = psi.to_flat()
     for _ in range(2):
@@ -384,7 +385,8 @@ def test_fomaml_equals_reduced_amgs(setup):
     reduced = MetaState.create(psi, sgd_config(aux_weight=0.0, include_support=False,
                                                query_mode="always"))
     s_amgs, _ = meta_step(reduced, [ep], np.random.default_rng(1))
-    s_fom, _ = fomaml_step(MetaState.create(psi, sgd_config()), [ep], np.random.default_rng(1))
+    s_fom, _ = fomaml_step(MetaState.create(psi, sgd_config("fomaml")), [ep],
+                           np.random.default_rng(1))
     assert np.abs(s_amgs.psi.to_flat() - expected).max() < 1e-12
     assert np.abs(s_fom.psi.to_flat() - expected).max() < 1e-12
 
@@ -419,14 +421,14 @@ def _two_way_zero_setup():
 
 def test_fomaml_zero_query_gradient_null_update():
     zero, ep = _two_way_zero_setup()
-    state = MetaState.create(zero, sgd_config())
+    state = MetaState.create(zero, sgd_config("fomaml"))
     new, _ = fomaml_step(state, [ep], np.random.default_rng(0))
     assert np.array_equal(new.psi.to_flat(), zero.to_flat())
 
 
 def test_reptile_single_step_is_scaled_gradient_descent(setup):
     _, psi, ep, _ = setup
-    state = MetaState.create(psi, sgd_config(inner_steps=1))
+    state = MetaState.create(psi, sgd_config("reptile", inner_steps=1))
     new, _ = reptile_step(state, [ep], np.random.default_rng(0))
     expected = psi.to_flat() - 0.05 * grad_total(psi, ep.support, None, 0.0)
     assert np.abs(new.psi.to_flat() - expected).max() < 1e-12
@@ -437,7 +439,7 @@ def test_reptile_small_rate_limit_is_summed_gradient(setup):
     # the limit is checked at the vector level.
     _, psi, ep, _ = setup
     t = 3
-    state = MetaState.create(psi, sgd_config(inner_lr=1e-12, inner_steps=t))
+    state = MetaState.create(psi, sgd_config("reptile", inner_lr=1e-12, inner_steps=t))
     new, _ = reptile_step(state, [ep], np.random.default_rng(0))
     direction = (psi.to_flat() - new.psi.to_flat()) / 0.05
     target = t * grad_total(psi, ep.support, None, 0.0)
@@ -447,17 +449,17 @@ def test_reptile_small_rate_limit_is_summed_gradient(setup):
 
 def test_reptile_converged_inner_loop_moves_nothing():
     zero, ep = _two_way_zero_setup()  # zero gradients: theta_hat stays at psi
-    state = MetaState.create(zero, sgd_config())
+    state = MetaState.create(zero, sgd_config("reptile"))
     new, _ = reptile_step(state, [ep], np.random.default_rng(0))
     assert np.array_equal(new.psi.to_flat(), zero.to_flat())
 
 
 def test_reptile_query_mode_changes_update(setup):
     _, psi, ep, _ = setup
-    s_sup, _ = reptile_step(MetaState.create(psi, sgd_config()), [ep],
+    s_sup, _ = reptile_step(MetaState.create(psi, sgd_config("reptile")), [ep],
                             np.random.default_rng(0))
     s_all, rep = reptile_step(
-        MetaState.create(psi, sgd_config(reptile_use_query=True)), [ep],
+        MetaState.create(psi, sgd_config("reptile", reptile_use_query=True)), [ep],
         np.random.default_rng(0))
     assert rep["query_used"] == [True]
     assert not np.array_equal(s_sup.psi.to_flat(), s_all.psi.to_flat())
@@ -465,7 +467,7 @@ def test_reptile_query_mode_changes_update(setup):
 
 def test_reptile_requires_positive_inner_rate(setup):
     _, psi, ep, _ = setup
-    state = MetaState.create(psi, sgd_config(inner_lr=0.0))
+    state = MetaState.create(psi, sgd_config("reptile", inner_lr=0.0))
     with pytest.raises(ValueError, match="positive"):
         reptile_step(state, [ep], np.random.default_rng(0))
 

@@ -39,28 +39,24 @@ from conftest import random_episode
 
 
 def encode_reference(params, seq):
-    """Straight-line re-implementation of the encoder, no vectorization."""
+    """Straight-line re-implementation of the encoder, no vectorization: the
+    sentence representation of one sequence."""
     nonpad = [t for t in seq if t != PAD_ID]
     c = np.zeros(params.d_emb)
     for t in nonpad:
         c += params.E[t]
     c /= len(nonpad)
-    hiddens = []
-    for t in seq:
-        x = np.concatenate([params.E[t], c])
-        hiddens.append(np.tanh(params.W1 @ x + params.b1))
     rep = np.zeros(params.d_h)
-    for t, h in zip(seq, hiddens):
-        if t != PAD_ID:
-            rep += h
+    for t in nonpad:
+        rep += np.tanh(params.W1 @ np.concatenate([params.E[t], c]) + params.b1)
     rep /= len(nonpad)
-    return np.asarray(hiddens), rep
+    return rep
 
 
 def test_encode_zero_params_gives_zero_rep(small_model_cfg):
     params = small_model_cfg.zeros()
-    hiddens, rep = encode(params, np.array([3, 4, 5]))
-    assert np.all(hiddens == 0.0)
+    rep = encode(params, [np.array([3, 4, 5]), np.array([6])])
+    assert rep.shape == (2, small_model_cfg.d_h)
     assert np.all(rep == 0.0)
 
 
@@ -68,41 +64,51 @@ def test_encode_single_token(small_model_cfg):
     rng = np.random.default_rng(0)
     params = small_model_cfg.init_params(rng)
     tok = 5
-    hiddens, rep = encode(params, np.array([tok]))
+    rep = encode(params, [np.array([tok])])
     x = np.concatenate([params.E[tok], params.E[tok]])  # context equals the sole embedding
     expected = np.tanh(params.W1 @ x + params.b1)
-    np.testing.assert_allclose(hiddens[0], expected, atol=1e-15)
-    np.testing.assert_allclose(rep, expected, atol=1e-15)
+    np.testing.assert_allclose(rep[0], expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_encode_matches_reference(seed, small_model_cfg):
+    # One pass over sequences of different lengths, some PAD-padded, gives
+    # each row's representation.
     rng = np.random.default_rng(seed)
     params = small_model_cfg.init_params(rng)
-    seq = rng.integers(FIRST_REAL_ID, small_model_cfg.vocab_size, size=5)
-    hiddens, rep = encode(params, seq)
-    ref_h, ref_rep = encode_reference(params, seq)
-    np.testing.assert_allclose(hiddens, ref_h, atol=1e-12)
-    np.testing.assert_allclose(rep, ref_rep, atol=1e-12)
+    seqs = [np.concatenate([rng.integers(FIRST_REAL_ID, small_model_cfg.vocab_size, size=n),
+                            np.full(pad, PAD_ID)]) for n, pad in ((5, 0), (1, 2), (3, 1))]
+    rep = encode(params, seqs)
+    assert rep.shape == (3, small_model_cfg.d_h)
+    for row, seq in zip(rep, seqs):
+        np.testing.assert_allclose(row, encode_reference(params, seq), atol=1e-12)
 
 
 def test_encode_ignores_pad_positions(small_model_cfg):
     rng = np.random.default_rng(1)
     params = small_model_cfg.init_params(rng)
-    hiddens_plain, rep_plain = encode(params, np.array([3, 4]))
-    hiddens, rep_padded = encode(params, np.array([3, 4, PAD_ID, PAD_ID]))
-    np.testing.assert_allclose(rep_padded, rep_plain, atol=1e-15)
-    # One hidden state per position, PAD positions included.
-    assert hiddens.shape == (4, small_model_cfg.d_h)
-    np.testing.assert_allclose(hiddens[:2], hiddens_plain, atol=1e-15)
+    rep = encode(params, [np.array([3, 4]), np.array([3, 4, PAD_ID, PAD_ID])])
+    # One representation per sequence, whatever its padding.
+    assert rep.shape == (2, small_model_cfg.d_h)
+    np.testing.assert_allclose(rep[1], rep[0], atol=1e-15)
 
 
 def test_encode_rejects_empty(small_model_cfg):
     params = small_model_cfg.zeros()
-    with pytest.raises(EncodingError):
-        encode(params, np.array([], dtype=np.int64))
-    with pytest.raises(EncodingError):
-        encode(params, np.array([PAD_ID, PAD_ID]))
+    with pytest.raises(EncodingError, match="^sequence 1 is empty after PAD removal$"):
+        encode(params, [np.array([3]), np.array([], dtype=np.int64)])
+    with pytest.raises(EncodingError, match="^sequence 0 is empty after PAD removal$"):
+        encode(params, [np.array([PAD_ID, PAD_ID])])
+    with pytest.raises(ValueError, match="^batch is empty$"):
+        encode(params, [])
+
+
+@pytest.mark.parametrize("flat", [np.array([3, 4, 5]), [3, 4, 5]])
+def test_encode_rejects_a_flat_id_array(small_model_cfg, flat):
+    # Its ids used to be packed as three one-token sequences.
+    params = small_model_cfg.init_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^sequence 0 is not a 1-D array of token ids$"):
+        encode(params, flat)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 12])
@@ -110,7 +116,7 @@ def test_token_ids_outside_the_vocabulary_raise(small_model_cfg, bad_id):
     """An id outside 0..vocab_size - 1 raises ValueError naming the sequence
     and the id, before any pass reads E with it (E[-1] would read the last
     row): in a classified batch, in a masked batch stacked under one, in the
-    sequence encode reads and in a descent's support set."""
+    batch encode reads and in a descent's support set."""
     params = small_model_cfg.init_params(np.random.default_rng(2))
     seqs = [np.array([3, 4, 5]), np.array([6, bad_id, PAD_ID]), np.array([7])]
     pairs = [(seq, 0) for seq in seqs]
@@ -120,12 +126,11 @@ def test_token_ids_outside_the_vocabulary_raise(small_model_cfg, bad_id):
     for op in (lambda: primary_loss(params, pairs), lambda: grad_primary(params, pairs),
                lambda: total_loss(params, good, masked, 0.3),
                lambda: grad_total(params, good, masked, 0.3),
-               lambda: fine_tune(params, pairs, 2, True, cfg, np.random.default_rng(0))):
+               lambda: fine_tune(params, pairs, 2, True, cfg, np.random.default_rng(0)),
+               lambda: encode(params, seqs)):
         with pytest.raises(ValueError, match=f"^sequence 1 holds token id {bad_id}, "
                                              "outside 0..11$"):
             op()
-    with pytest.raises(ValueError, match=f"holds token id {bad_id}, outside 0..11$"):
-        encode(params, seqs[1])
 
 
 @pytest.mark.parametrize("aux_weight", [0.0, 0.3, 1.0])
@@ -419,8 +424,10 @@ def test_aux_loss_single_target_hand_computed():
     cfg = ModelConfig(vocab_size=4, d_emb=2, d_h=2, n_way=2)
     params = cfg.init_params(np.random.default_rng(0))
     masked = MaskedBatch(sequences=[np.array([MASK_ID, 3])], targets=[(0, 0, 3)])
-    hiddens, _ = encode(params, masked.sequences[0])
-    logits = params.P @ hiddens[0] + params.p0
+    # The hidden state at the target: the MASK embedding beside the row's mean.
+    ctx = (params.E[MASK_ID] + params.E[3]) / 2
+    hidden = np.tanh(params.W1 @ np.concatenate([params.E[MASK_ID], ctx]) + params.b1)
+    logits = params.P @ hidden + params.p0
     denom = mpmath.fsum(mpmath.e ** mpmath.mpf(z) for z in logits)
     expected = float(-mpmath.log(mpmath.e ** mpmath.mpf(logits[3]) / denom))
     assert abs(aux_loss(params, masked) - expected) < 1e-12
@@ -593,5 +600,5 @@ def test_ops_do_not_mutate_params(small_model_cfg):
     primary_loss(params, ep.support)
     aux_loss(params, masked)
     total_loss(params, ep.support, masked, 0.5)
-    encode(params, ep.support[0][0])
+    encode(params, [seq for seq, _ in ep.support])
     assert np.array_equal(params.to_flat(), before)
